@@ -14,9 +14,12 @@
  *  2. Speedup: a composite workload (FA capacity sweep + a
  *     set-associative family) over a slice of the big trace, serial
  *     (shards=1) versus sharded (shards=worker count), byte-identity
- *     asserted between the two. shard_speedup is wall/wall; CI gates
- *     the fresh value by core count (the committed baseline may come
- *     from a small box, so it is "report" there).
+ *     asserted between the two. Both halves decode the stream once
+ *     and split the simulation: the FA half into time segments, the
+ *     set-associative half into per-shard set buckets. shard_speedup
+ *     is wall/wall; CI gates the fresh composite and set-associative
+ *     values by core count (the committed baseline may come from a
+ *     small box, so they are "report" there).
  *  3. Scale: the full logical stream - frame-replicated to
  *     --target-accesses (TEXCACHE_SHARD_TARGET, default 10^9) - drives
  *     one FA sweep pass and one set-associative replay. Peak RSS is
@@ -292,10 +295,12 @@ struct SpeedupResult
 
 /**
  * Stage 2: the composite figure-style workload, serial vs sharded.
- * The set-associative half replicates trace decode per shard (its
- * speedup ceiling at 8 workers is ~2x); the FA half parallelizes
- * decode too (near-linear). The composite is what real sweep passes
- * look like, and is the headline shard_speedup.
+ * Neither half replicates decode: the FA half maps each time segment
+ * once, and the set-associative half maps each chunk once and
+ * scatters it so every shard simulates only its own sets. Both scale
+ * with workers until memory bandwidth or the serial merge caps them.
+ * The composite is what real sweep passes look like, and is the
+ * headline shard_speedup.
  */
 SpeedupResult
 measureSpeedup(const std::string &path, const SceneLayout &layout,

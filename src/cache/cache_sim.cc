@@ -68,48 +68,81 @@ CacheSim::setTraceTag(uint16_t tag)
         fa_->setTraceTag(tag);
 }
 
+inline bool
+CacheSim::lookup(Way *set, uint64_t line, uint64_t tick, CacheStats &s,
+                 bool &cold)
+{
+    for (unsigned w = 0; w < ways_; ++w) {
+        if (set[w].tag == line) {
+            set[w].lastUse = tick;
+            return true;
+        }
+    }
+
+    // Miss: the victim is the first way with the oldest use (invalid
+    // ways have never been used, so they go first).
+    unsigned victim = 0;
+    for (unsigned w = 1; w < ways_; ++w)
+        if (set[w].lastUse < set[victim].lastUse)
+            victim = w;
+    ++s.misses;
+    cold = touched_.insert(line);
+    if (cold)
+        ++s.coldMisses;
+    if (set[victim].tag != kInvalid)
+        ++s.evictions;
+    set[victim].tag = line;
+    set[victim].lastUse = tick;
+    return false;
+}
+
 bool
 CacheSim::access(Addr addr)
 {
     if (fa_)
         return fa_->access(addr);
-    uint64_t line = addr >> lineShift_;
-    uint64_t set = line & setMask_;
-    Way *ways = &table_[set * ways_];
-
     ++stats_.accesses;
-    ++tick_;
-
-    unsigned victim = 0;
-    uint64_t oldest = ~0ULL;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (ways[w].tag == line) {
-            ways[w].lastUse = tick_;
-            if (tracing::enabled(tracing::kTexels)) [[unlikely]]
-                tracing::cacheHit(addr, traceTag_);
-            return true;
-        }
-        if (ways[w].lastUse < oldest) {
-            oldest = ways[w].lastUse;
-            victim = w;
-        }
-    }
-
-    ++stats_.misses;
-    bool cold = touched_.insert(line);
-    if (cold)
-        ++stats_.coldMisses;
-    if (tracing::enabled(tracing::kMisses | tracing::kTexels))
-        [[unlikely]]
+    uint64_t line = addr >> lineShift_;
+    bool cold = false;
+    bool hit = lookup(&table_[(line & setMask_) * ways_], line, ++tick_,
+                      stats_, cold);
+    if (hit) {
+        if (tracing::enabled(tracing::kTexels)) [[unlikely]]
+            tracing::cacheHit(addr, traceTag_);
+    } else if (tracing::enabled(tracing::kMisses | tracing::kTexels))
+        [[unlikely]] {
         tracing::cacheMiss(addr,
                            cold ? tracing::MissClass::Cold
                                 : tracing::MissClass::Other,
                            traceTag_);
-    if (ways[victim].tag != kInvalid)
-        ++stats_.evictions;
-    ways[victim].tag = line;
-    ways[victim].lastUse = tick_;
-    return false;
+    }
+    return hit;
+}
+
+void
+CacheSim::accessRange(const Addr *a, size_t n)
+{
+    if (fa_ || tracing::enabled(tracing::kMisses | tracing::kTexels)) {
+        for (size_t i = 0; i < n; ++i)
+            access(a[i]);
+        return;
+    }
+    // Locals, not members: stores into the way table could alias the
+    // members, which would force reloading them on every access.
+    Way *table = table_.data();
+    const unsigned shift = lineShift_;
+    const uint64_t mask = setMask_;
+    const unsigned ways = ways_;
+    CacheStats s = stats_;
+    uint64_t tick = tick_;
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t line = a[i] >> shift;
+        bool cold = false;
+        lookup(table + (line & mask) * ways, line, ++tick, s, cold);
+    }
+    s.accesses += n;
+    stats_ = s;
+    tick_ = tick;
 }
 
 void

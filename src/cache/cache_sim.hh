@@ -14,6 +14,7 @@
 #ifndef TEXCACHE_CACHE_CACHE_SIM_HH
 #define TEXCACHE_CACHE_CACHE_SIM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -56,8 +57,12 @@ struct CacheStats
     uint64_t accesses = 0;
     uint64_t misses = 0;
     uint64_t coldMisses = 0;
-    /** Valid lines displaced by fills (single-cache replays only;
-     *  the collapsed multi-config passes leave this zero). */
+    /** Valid lines displaced by fills. Every CacheSim counts them,
+     *  GroupSim members included (runCacheGroup and the
+     *  set-associative tasks of runCacheSweep). Only capacity sweeps
+     *  read from a stack-distance profile leave this zero: runFaSweep,
+     *  runFaSweepSharded, and the fully associative members of
+     *  runCacheSweep and runCacheSweepSharded. */
     uint64_t evictions = 0;
 
     double
@@ -94,6 +99,16 @@ class CacheSim
     /** Simulate one byte access; returns true on hit. */
     bool access(Addr addr);
 
+    /**
+     * Simulate @p n accesses in order, leaving the same statistics and
+     * contents as access() on each. The large fully associative
+     * delegation and the miss/texel trace gate are checked once per
+     * range; when either holds the range falls back to access() per
+     * address (so trace events are unchanged), otherwise the LRU scan
+     * runs inline with the counters kept in locals.
+     */
+    void accessRange(const Addr *a, size_t n);
+
     /** Reset contents and statistics. */
     void reset();
 
@@ -122,6 +137,16 @@ class CacheSim
         uint64_t lastUse = 0;
     };
     static constexpr uint64_t kInvalid = ~0ULL;
+
+    /**
+     * The LRU scan shared by access() and accessRange(): find @p line
+     * in @p set (its row of the way table), or fill the set's least
+     * recently used way. Counts misses, cold misses and evictions into
+     * @p s (not accesses) and sets @p cold on a first touch. Returns
+     * true on a hit.
+     */
+    bool lookup(Way *set, uint64_t line, uint64_t tick, CacheStats &s,
+                bool &cold);
 
     CacheConfig config_;
     unsigned lineShift_;

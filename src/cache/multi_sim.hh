@@ -87,15 +87,15 @@ class GroupSim
             sim.access(a);
     }
 
-    /** Feed a contiguous span of addresses to every member. */
+    /** Feed a contiguous span of addresses to every member through
+     *  the batched CacheSim::accessRange kernel. */
     void
     accessRange(const Addr *a, size_t n)
     {
         // Iterate sims outermost: each simulator's tables stay hot in
         // cache while it consumes the whole span.
         for (CacheSim &sim : sims_)
-            for (size_t i = 0; i < n; ++i)
-                sim.access(a[i]);
+            sim.accessRange(a, n);
     }
 
     /** Statistics aligned with the constructor's config list. */

@@ -1,6 +1,8 @@
 #include "cache/shard_sim.hh"
 
 #include <algorithm>
+#include <bit>
+#include <tuple>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -11,66 +13,128 @@ namespace texcache {
 // ---- Set partitioning ----------------------------------------------
 
 SetShardSim::SetShardSim(const std::vector<CacheConfig> &configs,
-                         unsigned shard, unsigned shards)
-    : shard_(shard), shards_(shards)
+                         unsigned shards)
+    : configs_(configs.size()), shards_(shards),
+      keys_(std::bit_ceil(shards))
 {
     fatal_if(configs.empty(), "sharded simulation with no configs");
-    fatal_if(!shards || shard >= shards, "shard ", shard, " of ",
-             shards);
-    members_.reserve(configs.size());
-    for (const CacheConfig &c : configs) {
-        Member m{CacheSim(c), log2Exact(c.lineBytes), c.numSets() - 1};
-        // Shard replays run many sims of the same organization; the
-        // per-access trace stream would interleave nonsensically.
+    fatal_if(!shards, "set sharding over zero shards");
+    auto split = [&](const CacheConfig &c) {
+        return keys_ > 1 && c.numSets() >= keys_;
+    };
+    struct Plan
+    {
+        size_t config;
+        size_t lineKey;
+        unsigned shard;
+        unsigned buckets; ///< of the K per line size that it reads
+    };
+    std::vector<Plan> plan;
+    for (size_t c = 0; c < configs.size(); ++c) {
+        if (!split(configs[c])) {
+            plan.push_back({c, kWholeSpans, 0, keys_});
+            continue;
+        }
+        unsigned shift = log2Exact(configs[c].lineBytes);
+        size_t l = std::find(lineShifts_.begin(), lineShifts_.end(), shift) -
+                   lineShifts_.begin();
+        if (l == lineShifts_.size())
+            lineShifts_.push_back(shift);
+        for (unsigned k = 0; k < shards; ++k)
+            plan.push_back({c, l, k, (keys_ - k + shards - 1) / shards});
+    }
+
+    // Longest first, so the last sims a window's workers claim are its
+    // shortest. A sim costs about its share of the stream times its
+    // scan length, a little more with fewer sets (more misses). The
+    // key holds only the configuration and the shard, so a permuted
+    // configuration list is scheduled the same way.
+    auto key = [&](const Plan &p) {
+        const CacheConfig &c = configs[p.config];
+        uint64_t scan = c.assoc == CacheConfig::kFullyAssoc
+                            ? c.sizeBytes / c.lineBytes
+                            : c.assoc;
+        return std::make_tuple(-static_cast<int64_t>(p.buckets * scan),
+                               c.numSets(), c.lineBytes, c.sizeBytes,
+                               p.shard);
+    };
+    std::stable_sort(plan.begin(), plan.end(),
+                     [&](const Plan &a, const Plan &b) {
+                         return key(a) < key(b);
+                     });
+
+    // Shard replays run many sims of the same organization; the
+    // per-access trace stream would interleave nonsensically.
+    sims_.reserve(plan.size());
+    for (const Plan &p : plan) {
+        Member m{CacheSim(configs[p.config]), p.config, p.lineKey, p.shard};
         m.sim.setTraceTag(tracing::kTagSilent);
-        members_.push_back(std::move(m));
+        sims_.push_back(std::move(m));
     }
 }
 
 void
-SetShardSim::accessRange(const Addr *a, size_t n)
+SetShardSim::scatter(Span &span) const
 {
-    // Sims outermost, like GroupSim: each simulator's tables stay hot
-    // while it consumes the whole span.
-    for (Member &m : members_) {
-        if (shards_ == 1) {
-            for (size_t i = 0; i < n; ++i)
-                m.sim.access(a[i]);
+    // A counting sort per line size: buffers sized exactly, so a window
+    // costs what it holds.
+    const size_t n = span.addrs.size();
+    const uint64_t mask = keys_ - 1;
+    span.byKey.resize(lineShifts_.size() * n);
+    span.start.assign(lineShifts_.size() * (keys_ + 1), 0);
+    for (size_t l = 0; l < lineShifts_.size(); ++l) {
+        const unsigned shift = lineShifts_[l];
+        size_t *start = &span.start[l * (keys_ + 1)];
+        for (Addr a : span.addrs)
+            ++start[((a >> shift) & mask) + 1];
+        for (unsigned b = 0; b < keys_; ++b)
+            start[b + 1] += start[b];
+        std::vector<size_t> next(start, start + keys_);
+        Addr *out = &span.byKey[l * n];
+        for (Addr a : span.addrs)
+            out[next[(a >> shift) & mask]++] = a;
+    }
+}
+
+void
+SetShardSim::replay(size_t sim, const Span *spans, size_t n)
+{
+    // Each sim consumes the whole window, so its table stays hot.
+    Member &m = sims_[sim];
+    for (size_t s = 0; s < n; ++s) {
+        const Span &span = spans[s];
+        if (m.lineKey == kWholeSpans) {
+            m.sim.accessRange(span.addrs.data(), span.addrs.size());
             continue;
         }
-        for (size_t i = 0; i < n; ++i) {
-            uint64_t set = (a[i] >> m.lineShift) & m.setMask;
-            if (set % shards_ == shard_)
-                m.sim.access(a[i]);
-        }
+        const Addr *sorted = &span.byKey[m.lineKey * span.addrs.size()];
+        const size_t *start = &span.start[m.lineKey * (keys_ + 1)];
+        for (unsigned b = m.shard; b < keys_; b += shards_)
+            m.sim.accessRange(sorted + start[b], start[b + 1] - start[b]);
     }
+}
+
+std::vector<CacheStats>
+SetShardSim::shardStats(unsigned shard) const
+{
+    std::vector<CacheStats> out(configs_);
+    for (const Member &m : sims_)
+        if (m.shard == shard)
+            out[m.config] = m.sim.stats();
+    return out;
 }
 
 std::vector<CacheStats>
 SetShardSim::stats() const
 {
-    std::vector<CacheStats> out;
-    out.reserve(members_.size());
-    for (const Member &m : members_)
-        out.push_back(m.sim.stats());
-    return out;
-}
-
-std::vector<CacheStats>
-mergeShardStats(const std::vector<std::vector<CacheStats>> &per_shard)
-{
-    fatal_if(per_shard.empty(), "merging zero shards");
-    std::vector<CacheStats> out = per_shard[0];
-    for (size_t s = 1; s < per_shard.size(); ++s) {
-        panic_if(per_shard[s].size() != out.size(),
-                 "shard ", s, " has ", per_shard[s].size(),
-                 " configs, shard 0 has ", out.size());
-        for (size_t c = 0; c < out.size(); ++c) {
-            out[c].accesses += per_shard[s][c].accesses;
-            out[c].misses += per_shard[s][c].misses;
-            out[c].coldMisses += per_shard[s][c].coldMisses;
-            out[c].evictions += per_shard[s][c].evictions;
-        }
+    std::vector<CacheStats> out(configs_);
+    for (const Member &m : sims_) {
+        const CacheStats &s = m.sim.stats();
+        CacheStats &o = out[m.config];
+        o.accesses += s.accesses;
+        o.misses += s.misses;
+        o.coldMisses += s.coldMisses;
+        o.evictions += s.evictions;
     }
     return out;
 }

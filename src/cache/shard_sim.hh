@@ -8,10 +8,11 @@
  *  - Set partitioning (SetShardSim), for set-associative caches. LRU
  *    within a set depends only on the relative order of that set's own
  *    accesses, and a line maps to exactly one set, so giving each
- *    worker an exclusive subset of sets (set % shards == shard) and
- *    replaying the *whole* stream through a filter yields per-shard
- *    statistics whose field-wise sum equals the serial run exactly -
- *    including evictions and cold misses.
+ *    shard an exclusive subset of sets and only those sets' accesses,
+ *    in stream order, yields per-shard statistics whose field-wise sum
+ *    equals the serial run exactly - including evictions and cold
+ *    misses. The stream is decoded once and scattered by a shard key
+ *    into per-shard buckets, so each shard touches 1/S of it.
  *
  *  - Time partitioning (StackSegmentPass + mergeStackShards), for the
  *    fully associative stack-distance profile, in the style of PARDA
@@ -48,46 +49,86 @@
 namespace texcache {
 
 /**
- * One shard of a set-partitioned multi-config simulation: the member
- * sims consume only the accesses whose set index belongs to this
- * shard. Run one instance per shard over the full stream and merge
- * with mergeShardStats().
+ * A simulation of a group of configurations whose sets are split
+ * into @p shards shards, fed by decode-once scatter.
+ *
+ * The stream arrives as spans (one per trace chunk). scatter() splits
+ * a span's addresses, once per distinct line size, into K buckets by
+ * the shard key (addr >> lineShift) & (K - 1), where K is the smallest
+ * power of two >= shards; bucket b belongs to shard b % shards. A
+ * configuration with at least K sets (that is, at least as many sets
+ * as shards) is split across every shard: its set count is a multiple
+ * of K, so the key is a function of its set index and every set falls
+ * in one bucket. It gets one sim per shard, and shard k's sim sees
+ * only the buckets k owns. A configuration with fewer sets than
+ * shards (fully associative ones included) gets one sim that reads
+ * whole spans; its statistics count as shard 0's.
+ *
+ * Every sim owns its state, so the sims of a window may replay in any
+ * order and on any worker, as long as each sees the windows in stream
+ * order. Within a span a sim's buckets may be fed in any order, since
+ * they hold disjoint sets.
  */
 class SetShardSim
 {
   public:
-    /** @p shard in [0, shards); shards == 1 bypasses the filter. */
-    SetShardSim(const std::vector<CacheConfig> &configs, unsigned shard,
-                unsigned shards);
+    /** One span of the stream and its scatter; reused across spans
+     *  so the buffers keep their capacity. */
+    struct Span
+    {
+        std::vector<Addr> addrs; ///< the span, in order
+        /** Per scattered line size, the span's addresses stably sorted
+         *  by key: line size l occupies [l * n, (l + 1) * n). */
+        std::vector<Addr> byKey;
+        /** Bucket b of line size l is byKey[l * n + start[l * (K + 1)
+         *  + b], l * n + start[l * (K + 1) + b + 1]). */
+        std::vector<size_t> start;
+    };
 
-    /** Feed a contiguous span of addresses (sims-outermost, each
-     *  filtered to this shard's sets). */
-    void accessRange(const Addr *a, size_t n);
+    /** @p shards >= 1; shard count and thread count are independent. */
+    SetShardSim(const std::vector<CacheConfig> &configs, unsigned shards);
 
-    /** Per-config statistics over this shard's sets only. */
+    /** Fill @p span.byKey and @p span.start from @p span.addrs.
+     *  Concurrent calls on distinct spans are safe. */
+    void scatter(Span &span) const;
+
+    /** Number of sims. Their indices run longest first: by the share
+     *  of the buckets a sim reads times its ways (whole-span sims read
+     *  all K), then by fewer sets. The order depends only on the
+     *  configurations, not on their position in the list. */
+    size_t sims() const { return sims_.size(); }
+
+    /** Feed sim @p sim its part of @p spans[0, @p n), in stream order.
+     *  Calls for distinct sims may run concurrently. */
+    void replay(size_t sim, const Span *spans, size_t n);
+
+    /** Shard @p shard's statistics per configuration; zero for the
+     *  configurations it holds no sim of. */
+    std::vector<CacheStats> shardStats(unsigned shard) const;
+
+    /** Per-configuration statistics summed field-wise over all
+     *  shards, aligned with the constructor's list. Exact because every
+     *  set (and hence every line and every eviction) is owned by
+     *  exactly one shard. */
     std::vector<CacheStats> stats() const;
 
   private:
+    static constexpr size_t kWholeSpans = ~size_t(0);
+
     struct Member
     {
         CacheSim sim;
-        unsigned lineShift;
-        uint64_t setMask;
+        size_t config;  ///< position in the constructor's list
+        size_t lineKey; ///< index into lineShifts_, or kWholeSpans
+        unsigned shard; ///< owner of the buckets it reads
     };
 
-    std::vector<Member> members_;
-    unsigned shard_;
+    std::vector<Member> sims_;         ///< longest first
+    std::vector<unsigned> lineShifts_; ///< scattered line sizes
+    size_t configs_;
     unsigned shards_;
+    unsigned keys_; ///< K: buckets per line size
 };
-
-/**
- * Field-wise sum of per-shard statistics; element [c] of the result
- * merges element [c] of every shard. Exact for set-partitioned runs
- * because every set (and hence every line and every eviction) is owned
- * by exactly one shard.
- */
-std::vector<CacheStats>
-mergeShardStats(const std::vector<std::vector<CacheStats>> &per_shard);
 
 /**
  * What one segment's stack-distance pass hands to the merger. Plain

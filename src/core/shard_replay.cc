@@ -1,5 +1,7 @@
 #include "core/shard_replay.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -58,27 +60,64 @@ stackPass(const TraceSource &src, const SceneLayout &layout,
     return mergeStackShards(passes, line_bytes);
 }
 
-/** Set-partitioned pass: every worker filters the full stream. */
+/** Records per shard in one window of the set-partitioned pass. */
+constexpr uint64_t kWindowRecordsPerShard = 1 << 18;
+
+/**
+ * Set-partitioned pass: the stream is decoded once and every shard
+ * simulates only its own sets (SetShardSim). It runs in windows of
+ * chunks, each in two fork-join steps on the sweep pool: one task per
+ * chunk maps the chunk and scatters it into per-shard buckets, then
+ * one worker per shard replays the window's sims, each claiming the
+ * next unreplayed sim, longest first, until none is left. Claiming
+ * keeps the workers evenly loaded whatever each sim costs, and no more
+ * than @p shards sims run at once. Neither step needs all shards live
+ * at once, so any shard count runs on any pool.
+ */
 std::vector<CacheStats>
 setPass(const TraceSource &src, const SceneLayout &layout,
         const std::vector<CacheConfig> &configs, unsigned shards)
 {
     perf::addSimulatedAccesses(src.records());
-    std::vector<unsigned> ids(shards);
-    std::iota(ids.begin(), ids.end(), 0u);
-    auto results = Sweep::run(ids, [&](unsigned shard) {
-        SetShardSim sim(configs, shard, shards);
-        replaySegment(src, layout, 0, src.chunkCount(),
-                      [&](const Addr *a, size_t n) {
-                          sim.accessRange(a, n);
-                      });
+    SetShardSim sim(configs, shards);
+    const uint64_t chunks = src.chunkCount();
+    if (!chunks)
         return sim.stats();
-    });
-    std::vector<std::vector<CacheStats>> per;
-    per.reserve(results.size());
-    for (auto &r : results)
-        per.push_back(std::move(r.value));
-    return mergeShardStats(per);
+
+    // About kWindowRecordsPerShard records per shard per window: a
+    // sim's share of a window stays long enough to hide the fork-join,
+    // and the window's buffers stay bounded however long the stream.
+    const uint64_t per_chunk = (src.records() + chunks - 1) / chunks;
+    const uint64_t window = std::clamp<uint64_t>(
+        shards * kWindowRecordsPerShard / std::max<uint64_t>(1, per_chunk),
+        1, chunks);
+    std::vector<SetShardSim::Span> spans(window);
+    std::vector<unsigned> workers(shards);
+    std::iota(workers.begin(), workers.end(), 0u);
+
+    for (uint64_t c0 = 0; c0 < chunks; c0 += window) {
+        std::vector<uint64_t> slots(std::min(window, chunks - c0));
+        std::iota(slots.begin(), slots.end(), uint64_t(0));
+        Sweep::run(slots, [&](uint64_t i) {
+            SetShardSim::Span &span = spans[i];
+            src.visitChunks(c0 + i, c0 + i + 1,
+                            [&](const uint64_t *recs, size_t n) {
+                                layout.mapPacked(recs, n, span.addrs);
+                            });
+            sim.scatter(span);
+            return true;
+        });
+        std::atomic<size_t> next{0};
+        Sweep::run(workers, [&](unsigned) {
+            for (;;) {
+                size_t i = next++;
+                if (i >= sim.sims())
+                    return true;
+                sim.replay(i, spans.data(), slots.size());
+            }
+        });
+    }
+    return sim.stats();
 }
 
 /**

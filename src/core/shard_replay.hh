@@ -7,8 +7,14 @@
  * sharding the simulation itself (cache/shard_sim.hh) and consuming
  * the trace as a stream of chunks (trace/trace_source.hh):
  *
- *  - set-associative configurations: every worker streams the full
- *    chunk range and filters to its exclusive subset of sets;
+ *  - set-associative configurations: the stream is decoded once, in
+ *    windows of chunks mapped in parallel; each address is scattered
+ *    by its shard key, (addr >> lineShift) & (K - 1) with K the
+ *    smallest power of two >= shards, into per-shard buckets, and
+ *    each shard simulates only its own sets' accesses. Configurations
+ *    with fewer sets than shards read the whole window in one sim, so
+ *    they stay exact. Workers claim the sims of a window one at a
+ *    time, longest first, so uneven sims still load them evenly;
  *  - fully associative profiles: the chunk range is cut into
  *    contiguous segments profiled independently and reconciled
  *    exactly.
@@ -16,9 +22,10 @@
  * All runners return statistics bit-identical to their serial
  * counterparts in core/experiment.hh for every shard count (the
  * decompositions are exact, not approximate), and peak memory stays
- * bounded by the chunk window regardless of trace length - the
- * billion-access runs of bench/micro_shard.cc never materialize a
- * trace.
+ * bounded regardless of trace length - the billion-access runs of
+ * bench/micro_shard.cc never materialize a trace. A set-associative
+ * window holds about shards x 2^18 records; its buffers cost about
+ * 8 bytes per address, times one plus the number of line sizes.
  *
  * @p shards selects the decomposition width; 0 means the sweep
  * thread count. Shard count and thread count are independent: 8
@@ -99,9 +106,9 @@ runCacheGroupSharded(const TraceSource &src, const SceneLayout &layout,
 
 /**
  * Sharded runCacheSweep. The sharded engine already collapses every
- * set-associative configuration into one filtered pass and every
- * fully associative line size into one segmented stack pass, so this
- * is the same engine as runCacheGroupSharded except that fully
+ * set-associative configuration into one set-partitioned pass and
+ * every fully associative line size into one segmented stack pass, so
+ * this is the same engine as runCacheGroupSharded except that fully
  * associative results carry evictions == 0, matching runCacheSweep's
  * collapsed passes (see CacheStats::evictions).
  */

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "cache/cache_sim.hh"
@@ -105,6 +107,31 @@ evenCuts(size_t n, unsigned segs)
 
 // ---- Set partitioning ----------------------------------------------
 
+namespace {
+
+/** Feed @p a to every shard of @p sim the way the set pass does:
+ *  spans of @p span_len addresses, @p window spans per window, each
+ *  window scattered and then replayed sim by sim. */
+void
+feedSetShards(SetShardSim &sim, const std::vector<Addr> &a,
+              size_t span_len, size_t window)
+{
+    std::vector<SetShardSim::Span> spans(window);
+    for (size_t i = 0; i < a.size();) {
+        size_t n = 0;
+        for (; n < window && i < a.size(); ++n) {
+            size_t take = std::min(span_len, a.size() - i);
+            spans[n].addrs.assign(a.begin() + i, a.begin() + i + take);
+            sim.scatter(spans[n]);
+            i += take;
+        }
+        for (size_t s = 0; s < sim.sims(); ++s)
+            sim.replay(s, spans.data(), n);
+    }
+}
+
+} // namespace
+
 TEST(SetShard, MergesExactlyAcrossConfigsAndShardCounts)
 {
     std::vector<Addr> a = syntheticStream(7, 60000, 1 << 18);
@@ -116,6 +143,10 @@ TEST(SetShard, MergesExactlyAcrossConfigsAndShardCounts)
     for (int i = 0; i < 8; ++i)
         configs.push_back({sizes[rng.below(4)], lines[rng.below(3)],
                            assocs[rng.below(5)]});
+    // Fewer sets than most shard counts: 1, 2 and 4 sets.
+    configs.push_back({256, 32, 8});
+    configs.push_back({512, 32, 8});
+    configs.push_back({1024, 64, 4});
 
     std::vector<CacheStats> serial;
     for (const CacheConfig &c : configs) {
@@ -125,14 +156,10 @@ TEST(SetShard, MergesExactlyAcrossConfigsAndShardCounts)
         serial.push_back(sim.stats());
     }
 
-    for (unsigned shards : {1u, 2u, 4u, 8u}) {
-        std::vector<std::vector<CacheStats>> per;
-        for (unsigned s = 0; s < shards; ++s) {
-            SetShardSim shard(configs, s, shards);
-            shard.accessRange(a.data(), a.size());
-            per.push_back(shard.stats());
-        }
-        std::vector<CacheStats> merged = mergeShardStats(per);
+    for (unsigned shards : {1u, 2u, 3u, 4u, 5u, 8u}) {
+        SetShardSim sim(configs, shards);
+        feedSetShards(sim, a, 4093, 3);
+        std::vector<CacheStats> merged = sim.stats();
         ASSERT_EQ(merged.size(), configs.size());
         for (size_t i = 0; i < configs.size(); ++i)
             expectStatsEq(merged[i], serial[i],
@@ -144,15 +171,74 @@ TEST(SetShard, MergesExactlyAcrossConfigsAndShardCounts)
 TEST(SetShard, EveryAccessLandsOnExactlyOneShard)
 {
     std::vector<Addr> a = syntheticStream(3, 20000, 1 << 16);
-    std::vector<CacheConfig> configs{{16 << 10, 32, 2}};
-    for (unsigned shards : {2u, 4u, 8u}) {
+    // 256 sets: split over every shard at every count, powers of two
+    // or not. 1 set: whole spans, all on one shard.
+    std::vector<CacheConfig> configs{{16 << 10, 32, 2}, {128, 32, 4}};
+    for (unsigned shards : {2u, 3u, 4u, 5u, 8u}) {
+        SetShardSim sim(configs, shards);
+        feedSetShards(sim, a, 1000, 4);
         uint64_t total = 0;
-        for (unsigned s = 0; s < shards; ++s) {
-            SetShardSim shard(configs, s, shards);
-            shard.accessRange(a.data(), a.size());
-            total += shard.stats()[0].accesses;
+        unsigned holders = 0;
+        for (unsigned k = 0; k < shards; ++k) {
+            std::vector<CacheStats> st = sim.shardStats(k);
+            EXPECT_GT(st[0].accesses, 0u)
+                << "shard " << k << " of " << shards << " got no sets";
+            total += st[0].accesses;
+            if (st[1].accesses) {
+                ++holders;
+                EXPECT_EQ(st[1].accesses, a.size());
+            }
         }
         EXPECT_EQ(total, a.size()) << shards << " shards";
+        EXPECT_EQ(holders, 1u) << shards << " shards";
+    }
+}
+
+TEST(SetShard, ClaimsLongestFirstWhateverTheListOrder)
+{
+    std::vector<Addr> a = syntheticStream(5, 8000, 1 << 16);
+    // At K = 4 buckets: 1 and 2 sets read whole spans; 4 to 32 split.
+    std::vector<CacheConfig> configs{{256, 32, 8},     {1 << 10, 32, 1},
+                                     {512, 32, 8},     {4 << 10, 32, 8},
+                                     {2 << 10, 32, 2}, {512, 32, 4}};
+    const std::vector<size_t> perm{3, 0, 5, 1, 4, 2};
+    std::vector<CacheConfig> permuted;
+    for (size_t i : perm)
+        permuted.push_back(configs[i]);
+
+    // Replay one sim; return the position of the configuration whose
+    // statistics moved, and by how many accesses.
+    auto replayOne = [](SetShardSim &sim, const SetShardSim::Span &span,
+                        size_t i) {
+        std::vector<CacheStats> before = sim.stats();
+        sim.replay(i, &span, 1);
+        std::vector<CacheStats> after = sim.stats();
+        for (size_t c = 0; c < after.size(); ++c)
+            if (after[c].accesses != before[c].accesses)
+                return std::make_pair(c, after[c].accesses -
+                                             before[c].accesses);
+        return std::make_pair(after.size(), uint64_t(0));
+    };
+
+    for (unsigned shards : {3u, 4u}) {
+        SetShardSim x(configs, shards), y(permuted, shards);
+        ASSERT_EQ(x.sims(), y.sims());
+        SetShardSim::Span sx, sy;
+        sx.addrs = sy.addrs = a;
+        x.scatter(sx);
+        y.scatter(sy);
+        for (size_t i = 0; i < x.sims(); ++i) {
+            auto [cx, nx] = replayOne(x, sx, i);
+            auto [cy, ny] = replayOne(y, sy, i);
+            ASSERT_LT(cx, configs.size());
+            ASSERT_LT(cy, configs.size());
+            EXPECT_EQ(cx, perm[cy]) << "sim " << i << " @" << shards;
+            EXPECT_EQ(nx, ny) << "sim " << i << " @" << shards;
+            // The two 8-way whole-span sims first, the one set first.
+            if (i < 2) {
+                EXPECT_EQ(cx, i == 0 ? 0u : 2u) << shards << " shards";
+            }
+        }
     }
 }
 
@@ -303,6 +389,84 @@ TEST(ShardReplay, SweepAndGroupMatchSerial)
                           "group " + configs[i].str());
         }
     }
+}
+
+/** Scoped TEXCACHE_THREADS override (restores the prior value). */
+class ThreadEnv
+{
+  public:
+    explicit ThreadEnv(const char *value)
+    {
+        const char *old = std::getenv("TEXCACHE_THREADS");
+        had_ = old != nullptr;
+        if (old)
+            saved_ = old;
+        setenv("TEXCACHE_THREADS", value, 1);
+    }
+    ~ThreadEnv()
+    {
+        if (had_)
+            setenv("TEXCACHE_THREADS", saved_.c_str(), 1);
+        else
+            unsetenv("TEXCACHE_THREADS");
+    }
+
+  private:
+    bool had_;
+    std::string saved_;
+};
+
+TEST(ShardReplay, SetPassMatchesSerialAtEveryShardAndThreadCount)
+{
+    Fixture &f = fix();
+    // Set counts from 1 to 512 fall below, on and above every shard
+    // count, at two line sizes.
+    std::vector<CacheConfig> configs{
+        {128, 32, 4},      // 1 set
+        {512, 64, 4},      // 2 sets
+        {512, 32, 4},      // 4 sets
+        {2 << 10, 64, 4},  // 8 sets
+        {16 << 10, 64, 4}, // 64 sets
+        {8 << 10, 32, 1},  // 256 sets
+        {32 << 10, 32, 2}, // 512 sets
+    };
+
+    // One frame is shorter than a window at every shard count; the
+    // frame-replicated file spans two windows or more at every one.
+    const uint64_t frames = 2 * 8 * (1 << 18) / f.trace.size() + 1;
+    TexelTrace many;
+    many.reserve(f.trace.size() * frames);
+    for (uint64_t i = 0; i < frames; ++i)
+        many.appendPacked(f.trace.packed().data(), f.trace.size());
+    std::vector<CacheStats> serialOne =
+        runCacheGroup(f.trace, f.layout, configs);
+    std::vector<CacheStats> serialMany =
+        runCacheGroup(many, f.layout, configs);
+
+    std::string dir = ::testing::TempDir() + "texcache-set-pass";
+    std::filesystem::create_directories(dir);
+    MemoryTraceSource one(f.trace);
+    FileTraceSource file(f.store.spillTrace(f.spec, f.order, dir), frames);
+    ASSERT_EQ(file.records(), many.size());
+
+    for (const char *threads : {"1", "8"}) {
+        ThreadEnv env(threads);
+        for (unsigned shards : {1u, 2u, 3u, 4u, 5u, 8u}) {
+            std::string at = " @" + std::to_string(shards) + " shards, " +
+                             threads + " threads";
+            std::vector<CacheStats> gotOne =
+                runCacheGroupSharded(one, f.layout, configs, shards);
+            std::vector<CacheStats> gotMany =
+                runCacheGroupSharded(file, f.layout, configs, shards);
+            for (size_t i = 0; i < configs.size(); ++i) {
+                expectStatsEq(gotOne[i], serialOne[i],
+                              "memory " + configs[i].str() + at);
+                expectStatsEq(gotMany[i], serialMany[i],
+                              "file " + configs[i].str() + at);
+            }
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ShardReplay, SingleReplayDerivesFaEvictions)
