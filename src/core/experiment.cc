@@ -11,6 +11,7 @@
 #include "perf/perf_counters.hh"
 #include "trace/chunked_trace.hh"
 #include "trace/trace_io.hh"
+#include "tracing/tracing.hh"
 
 namespace texcache {
 
@@ -220,7 +221,9 @@ TraceStore::scene(const SceneSpec &s)
     std::string key = s.key();
     auto it = scenes_.find(key);
     if (it == scenes_.end()) {
+        static const uint16_t kBuildSpan = tracing::nameId("scene.build");
         inform("building scene ", key);
+        tracing::ScopedSpan span(kBuildSpan);
         it = scenes_.emplace(std::move(key), s.build()).first;
     }
     return it->second;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
@@ -120,11 +121,15 @@ Sweep::threadCount()
 {
     if (const char *env = std::getenv("TEXCACHE_THREADS")) {
         char *end = nullptr;
+        errno = 0;
         long v = std::strtol(env, &end, 10);
         fatal_if(end == env || *end != '\0',
                  "TEXCACHE_THREADS='", env, "' is not a number");
         fatal_if(v < 1, "TEXCACHE_THREADS must be >= 1, got '", env,
                  "'");
+        fatal_if(errno == ERANGE || v > static_cast<long>(kMaxThreads),
+                 "TEXCACHE_THREADS must be <= ", kMaxThreads, ", got '",
+                 env, "'");
         return static_cast<unsigned>(v);
     }
     unsigned hw = std::thread::hardware_concurrency();

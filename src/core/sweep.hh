@@ -17,8 +17,9 @@
  * Per-point wall-clock is captured for the perf harness.
  *
  * Thread count: TEXCACHE_THREADS overrides, else hardware concurrency;
- * zero, negative or non-numeric values are a fatal() configuration
- * error. With one thread (or one point) the pool is bypassed entirely.
+ * zero, negative, non-numeric or out-of-range values (above
+ * Sweep::kMaxThreads) are a fatal() configuration error. With one
+ * thread (or one point) the pool is bypassed entirely.
  *
  * Observability: every top-level run records a SweepRunStats (steal
  * count, thread utilization, wall-clock) retrievable via
@@ -68,6 +69,10 @@ struct SweepRunStats
 class Sweep
 {
   public:
+    /** Largest TEXCACHE_THREADS accepted: a run starts up to one
+     *  thread per point, so the ceiling bounds what one run spawns. */
+    static constexpr unsigned kMaxThreads = 1024;
+
     /** Threads the next run will use (TEXCACHE_THREADS or hardware). */
     static unsigned threadCount();
 

@@ -27,21 +27,14 @@ smooth(float t)
     return t * t * (3.0f - 2.0f * t);
 }
 
-/** One octave of bilinearly interpolated lattice noise. */
-float
-noiseOctave(float x, float y, uint32_t seed)
+/** static_cast<int>(std::floor(v)) for |v| < 2^31, in fewer
+ *  instructions: truncate toward zero, then step down once for a
+ *  negative non-integer. */
+int
+floorToInt(float v)
 {
-    int xi = static_cast<int>(std::floor(x));
-    int yi = static_cast<int>(std::floor(y));
-    float tx = smooth(x - static_cast<float>(xi));
-    float ty = smooth(y - static_cast<float>(yi));
-    float v00 = latticeHash(xi, yi, seed);
-    float v10 = latticeHash(xi + 1, yi, seed);
-    float v01 = latticeHash(xi, yi + 1, seed);
-    float v11 = latticeHash(xi + 1, yi + 1, seed);
-    float a = v00 + (v10 - v00) * tx;
-    float b = v01 + (v11 - v01) * tx;
-    return a + (b - a) * ty;
+    int i = static_cast<int>(v);
+    return i - (v < static_cast<float>(i));
 }
 
 uint8_t
@@ -53,20 +46,51 @@ toByte(float v)
 
 } // namespace
 
+NoiseEvaluator::NoiseEvaluator(unsigned octaves, uint32_t seed)
+    : cells_(octaves)
+{
+    for (unsigned o = 0; o < octaves; ++o)
+        cells_[o].seed = seed + o * 131u;
+}
+
 float
-valueNoise(float x, float y, unsigned octaves, uint32_t seed)
+NoiseEvaluator::operator()(float x, float y)
 {
     float sum = 0.0f;
     float amp = 0.5f;
     float freq = 1.0f;
     float norm = 0.0f;
-    for (unsigned o = 0; o < octaves; ++o) {
-        sum += amp * noiseOctave(x * freq, y * freq, seed + o * 131u);
+    for (Cell &c : cells_) {
+        // One octave of bilinearly interpolated lattice noise.
+        float ox = x * freq;
+        float oy = y * freq;
+        int xi = floorToInt(ox);
+        int yi = floorToInt(oy);
+        if (!c.hashed || xi != c.xi || yi != c.yi) {
+            c.hashed = true;
+            c.xi = xi;
+            c.yi = yi;
+            c.v00 = latticeHash(xi, yi, c.seed);
+            c.v01 = latticeHash(xi, yi + 1, c.seed);
+            c.d10 = latticeHash(xi + 1, yi, c.seed) - c.v00;
+            c.d11 = latticeHash(xi + 1, yi + 1, c.seed) - c.v01;
+        }
+        float tx = smooth(ox - static_cast<float>(xi));
+        float ty = smooth(oy - static_cast<float>(yi));
+        float a = c.v00 + c.d10 * tx;
+        float b = c.v01 + c.d11 * tx;
+        sum += amp * (a + (b - a) * ty);
         norm += amp;
         amp *= 0.5f;
         freq *= 2.0f;
     }
     return norm > 0.0f ? sum / norm : 0.0f;
+}
+
+float
+valueNoise(float x, float y, unsigned octaves, uint32_t seed)
+{
+    return NoiseEvaluator(octaves, seed)(x, y);
 }
 
 Image
@@ -87,9 +111,10 @@ makeSatellite(unsigned size, uint32_t seed)
 {
     Image img(size, size);
     float inv = 8.0f / static_cast<float>(size);
+    NoiseEvaluator noise(5, seed);
     for (unsigned y = 0; y < size; ++y) {
         for (unsigned x = 0; x < size; ++x) {
-            float h = valueNoise(x * inv, y * inv, 5, seed);
+            float h = noise(x * inv, y * inv);
             // Elevation-banded coloring: water, fields, forest, rock.
             Rgba8 c;
             if (h < 0.35f)
@@ -114,6 +139,7 @@ makeBricks(unsigned width, unsigned height, uint32_t seed)
     Image img(width, height);
     unsigned brick_h = height / 8 ? height / 8 : 1;
     unsigned brick_w = width / 4 ? width / 4 : 1;
+    NoiseEvaluator noise(3, seed);
     for (unsigned y = 0; y < height; ++y) {
         unsigned row = y / brick_h;
         unsigned offset = (row & 1) ? brick_w / 2 : 0;
@@ -123,7 +149,7 @@ makeBricks(unsigned width, unsigned height, uint32_t seed)
             if (mortar) {
                 img.texel(x, y) = {180, 180, 175, 255};
             } else {
-                float n = valueNoise(x * 0.05f, y * 0.05f, 3, seed);
+                float n = noise(x * 0.05f, y * 0.05f);
                 img.texel(x, y) = {toByte(0.55f + 0.2f * n),
                                    toByte(0.25f + 0.1f * n),
                                    toByte(0.2f + 0.05f * n), 255};
@@ -137,12 +163,13 @@ Image
 makeWood(unsigned width, unsigned height, uint32_t seed)
 {
     Image img(width, height);
+    NoiseEvaluator noise(3, seed);
     for (unsigned y = 0; y < height; ++y) {
         for (unsigned x = 0; x < width; ++x) {
             float fx = static_cast<float>(x) / width - 0.5f;
             float fy = static_cast<float>(y) / height - 0.5f;
             float r = std::sqrt(fx * fx + fy * fy);
-            float wobble = valueNoise(fx * 6.0f, fy * 6.0f, 3, seed);
+            float wobble = noise(fx * 6.0f, fy * 6.0f);
             float ring = std::sin((r * 40.0f + wobble * 4.0f)) * 0.5f +
                          0.5f;
             img.texel(x, y) = {toByte(0.45f + 0.3f * ring),
@@ -158,9 +185,10 @@ makeMarble(unsigned size, uint32_t seed)
 {
     Image img(size, size);
     float inv = 4.0f / static_cast<float>(size);
+    NoiseEvaluator noise(4, seed);
     for (unsigned y = 0; y < size; ++y) {
         for (unsigned x = 0; x < size; ++x) {
-            float n = valueNoise(x * inv, y * inv, 4, seed);
+            float n = noise(x * inv, y * inv);
             float v = std::sin((x * inv + n * 5.0f) * 3.14159f) * 0.5f +
                       0.5f;
             img.texel(x, y) = {toByte(0.7f + 0.3f * v),

@@ -59,10 +59,13 @@ makeFlightSceneAt(float time)
 
     // 8 large + 7 medium satellite textures: ~55 MB of mip-mapped
     // storage (paper: 56 MB).
+    std::vector<TextureMaker> makers;
     for (unsigned i = 0; i < 15; ++i) {
         unsigned size = i < 8 ? 1024 : 512;
-        scene.textures.emplace_back(makeSatellite(size, 7000u + i));
+        makers.push_back(
+            [size, i] { return makeSatellite(size, 7000u + i); });
     }
+    addTextures(scene, makers);
 
     Vec3 light{0.4f, -1.0f, 0.3f};
 

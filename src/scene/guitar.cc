@@ -100,16 +100,19 @@ makeGuitarScene()
     scene.screenW = 800;
     scene.screenH = 800;
 
-    scene.textures.emplace_back(makeWood(512, 512, 11u));   // body
-    scene.textures.emplace_back(makeWood(512, 512, 23u));   // table
-    scene.textures.emplace_back(makeWood(256, 256, 31u));   // fretboard
-    scene.textures.emplace_back(makeWood(256, 256, 41u));   // headstock
-    scene.textures.emplace_back(makeMarble(256, 51u));      // pickguard
-    scene.textures.emplace_back(makeChecker(256, 16,
-                                            Rgba8{180, 150, 90, 255},
-                                            Rgba8{60, 40, 20, 255}));
-    scene.textures.emplace_back(makeWood(256, 256, 61u));   // bridge
-    scene.textures.emplace_back(makeMarble(256, 71u));      // strings
+    addTextures(scene, {
+        [] { return makeWood(512, 512, 11u); },  // body
+        [] { return makeWood(512, 512, 23u); },  // table
+        [] { return makeWood(256, 256, 31u); },  // fretboard
+        [] { return makeWood(256, 256, 41u); },  // headstock
+        [] { return makeMarble(256, 51u); },     // pickguard
+        [] {
+            return makeChecker(256, 16, Rgba8{180, 150, 90, 255},
+                               Rgba8{60, 40, 20, 255});
+        },                                       // rosette
+        [] { return makeWood(256, 256, 61u); },  // bridge
+        [] { return makeMarble(256, 71u); },     // strings
+    });
 
     Vec3 light{0.2f, -0.3f, -1.0f};
     float body_shade = lambertShade(Vec3{0.05f, 0.1f, 1}, light);

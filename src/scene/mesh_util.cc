@@ -2,7 +2,19 @@
 
 #include <algorithm>
 
+#include "core/sweep.hh"
+
 namespace texcache {
+
+void
+addTextures(Scene &scene, const std::vector<TextureMaker> &makers)
+{
+    auto built = Sweep::run(makers, [](const TextureMaker &make) {
+        return MipMap(make());
+    });
+    for (SweepResult<MipMap> &r : built)
+        scene.textures.push_back(std::move(r.value));
+}
 
 float
 lambertShade(Vec3 normal, Vec3 light_dir, float ambient)

@@ -1,14 +1,37 @@
 /**
  * @file
- * Mesh-building helpers shared by the benchmark scene generators.
+ * Mesh- and texture-building helpers shared by the benchmark scene
+ * generators.
  */
 
 #ifndef TEXCACHE_SCENE_MESH_UTIL_HH
 #define TEXCACHE_SCENE_MESH_UTIL_HH
 
+#include <functional>
+#include <vector>
+
+#include "img/image.hh"
 #include "pipeline/scene_types.hh"
 
 namespace texcache {
+
+/** Produces one texture's level-0 image. */
+using TextureMaker = std::function<Image()>;
+
+/**
+ * Append one texture per entry of @p makers to scene.textures, in
+ * index order.
+ *
+ * Each texture - its generator call plus its MipMap pyramid - is an
+ * independent task on the sweep pool (Sweep::run, core/sweep.hh),
+ * which returns results by index, so the textures land in the same
+ * order and with the same bytes at any thread count;
+ * TEXCACHE_THREADS=1 builds them one after another on the calling
+ * thread. Makers run concurrently and must not share mutable state;
+ * the procedural generators (img/procedural.hh) are pure functions of
+ * their arguments.
+ */
+void addTextures(Scene &scene, const std::vector<TextureMaker> &makers);
 
 /** Simple Lambert term against a fixed directional light, in [amb, 1]. */
 float lambertShade(Vec3 normal, Vec3 light_dir, float ambient = 0.35f);

@@ -40,15 +40,19 @@ makeTownScene()
 
     // 48 facade brick variants + roof + sign at 128x128, road at
     // 256x256: ~4.7 MB of mip-mapped storage (paper: 4.7 MB).
+    std::vector<TextureMaker> makers;
     for (unsigned i = 0; i < kFacadeTextures; ++i)
-        scene.textures.emplace_back(makeBricks(128, 128, 500u + i));
-    scene.textures.emplace_back(
-        makeChecker(128, 16, Rgba8{70, 60, 55, 255},
-                    Rgba8{90, 80, 70, 255})); // roof
-    scene.textures.emplace_back(makeBricks(256, 256, 999u)); // road
-    scene.textures.emplace_back(
-        makeChecker(128, 4, Rgba8{220, 40, 40, 255},
-                    Rgba8{240, 230, 200, 255})); // sign
+        makers.push_back([i] { return makeBricks(128, 128, 500u + i); });
+    makers.push_back([] {
+        return makeChecker(128, 16, Rgba8{70, 60, 55, 255},
+                           Rgba8{90, 80, 70, 255});
+    }); // roof
+    makers.push_back([] { return makeBricks(256, 256, 999u); }); // road
+    makers.push_back([] {
+        return makeChecker(128, 4, Rgba8{220, 40, 40, 255},
+                           Rgba8{240, 230, 200, 255});
+    }); // sign
+    addTextures(scene, makers);
 
     Vec3 light{0.5f, -1.0f, 0.2f};
     Rng rng(4242);

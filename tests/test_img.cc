@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "img/image.hh"
@@ -95,6 +96,41 @@ TEST(Procedural, NoiseSeedMatters)
         diff += valueNoise(x, y, 3, 1) != valueNoise(x, y, 3, 2);
     }
     EXPECT_GT(diff, 40);
+}
+
+TEST(Procedural, NoiseEvaluatorCacheNeverChangesAValue)
+{
+    // A generator's evaluator keeps each octave's last lattice cell;
+    // whatever path it walks, every sample must carry the same bits as
+    // a fresh valueNoise at that point. Octave counts run past 8 so no
+    // fixed octave limit can hide in the cache.
+    auto bits = [](float v) {
+        uint32_t b;
+        std::memcpy(&b, &v, sizeof b);
+        return b;
+    };
+    for (unsigned octaves = 1; octaves <= 10; ++octaves) {
+        NoiseEvaluator noise(octaves, 99u);
+        auto check = [&](float x, float y) {
+            ASSERT_EQ(bits(noise(x, y)),
+                      bits(valueNoise(x, y, octaves, 99u)))
+                << octaves << " octaves at (" << x << ", " << y << ")";
+        };
+        // Rows across cell edges, from negative into positive
+        // coordinates, then on to the next row.
+        for (float y = -2.25f; y < 2.0f; y += 0.375f)
+            for (float x = -1.5f; x < 1.5f; x += 0.1875f)
+                check(x, y);
+        // Down one column: x keeps its cell in every octave while y
+        // crosses cell edges, so only yi tells the cells apart.
+        for (float y = -3.0f; y < 3.0f; y += 0.125f)
+            check(0.3f, y);
+        // Jump far away, then back into an earlier cell.
+        check(0.3f, 0.3f);
+        check(57.7f, -33.1f);
+        check(0.3f, 0.3f);
+        check(0.35f, 0.31f);
+    }
 }
 
 TEST(Procedural, GeneratorsProduceRequestedSizes)

@@ -17,6 +17,7 @@
 #include "pipeline/renderer.hh"
 #include "scene/benchmarks.hh"
 #include "simd/isa.hh"
+#include "thread_env.hh"
 
 namespace texcache {
 namespace {
@@ -30,34 +31,6 @@ class IsaGuard
 
   private:
     simd::Isa saved_;
-};
-
-/** Scoped TEXCACHE_THREADS override (restores the prior value). */
-class ThreadEnv
-{
-  public:
-    explicit ThreadEnv(const char *value)
-    {
-        const char *old = std::getenv("TEXCACHE_THREADS");
-        had_ = old != nullptr;
-        if (old)
-            saved_ = old;
-        if (value)
-            setenv("TEXCACHE_THREADS", value, 1);
-        else
-            unsetenv("TEXCACHE_THREADS");
-    }
-    ~ThreadEnv()
-    {
-        if (had_)
-            setenv("TEXCACHE_THREADS", saved_.c_str(), 1);
-        else
-            unsetenv("TEXCACHE_THREADS");
-    }
-
-  private:
-    bool had_;
-    std::string saved_;
 };
 
 std::vector<RasterOrder>

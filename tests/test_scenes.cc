@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "pipeline/renderer.hh"
 #include "scene/benchmarks.hh"
 #include "scene/mesh_util.hh"
+#include "thread_env.hh"
 
 using namespace texcache;
 
@@ -19,7 +22,79 @@ mb(uint64_t bytes)
     return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
 
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+uint64_t
+fnv(uint64_t h, uint32_t word)
+{
+    return (h ^ word) * kFnvPrime;
+}
+
+/** FNV-1a over the r, g, b, a bytes of every texel: textures, then
+ *  levels, then rows, in order. */
+uint64_t
+textureDigest(const Scene &s)
+{
+    uint64_t h = kFnvBasis;
+    for (const MipMap &m : s.textures)
+        for (unsigned l = 0; l < m.numLevels(); ++l)
+            for (const Rgba8 &t : m.level(l).pixels())
+                for (uint8_t byte : {t.r, t.g, t.b, t.a})
+                    h = fnv(h, byte);
+    return h;
+}
+
+/** FNV-1a folding each vertex's pos.xyz, uv.xy and shade bit patterns
+ *  in as one 32-bit word each, vertex by vertex. */
+uint64_t
+geometryDigest(const Scene &s)
+{
+    uint64_t h = kFnvBasis;
+    for (const SceneTriangle &t : s.triangles) {
+        for (const SceneVertex &v : t.v) {
+            for (float f : {v.pos.x, v.pos.y, v.pos.z, v.uv.x, v.uv.y,
+                            v.shade}) {
+                uint32_t bits;
+                std::memcpy(&bits, &f, sizeof bits);
+                h = fnv(h, bits);
+            }
+        }
+    }
+    return h;
+}
+
 } // namespace
+
+TEST(Scenes, ContentIsPinnedAtAnyThreadCount)
+{
+    // Texel values never change an address, so no trace digest would
+    // notice a generator that drifted; these constants pin every
+    // texel and vertex of the four paper scenes instead, at one
+    // worker (serial build) and at eight (texture fan-out).
+    struct Pin
+    {
+        BenchScene scene;
+        uint64_t textures;
+        uint64_t geometry;
+    };
+    const Pin pins[] = {
+        {BenchScene::Flight, 0x48642c80429c9af6ull, 0xac811113e5645eeeull},
+        {BenchScene::Town, 0x4c2a2792942a0b54ull, 0xb16904a913c65b6cull},
+        {BenchScene::Guitar, 0xf96df3fd83186385ull, 0xd477adc6d2f6f24eull},
+        {BenchScene::Goblet, 0x200378751c372cdbull, 0xbbdfae0692eda63full},
+    };
+    for (const char *threads : {"1", "8"}) {
+        ThreadEnv env(threads);
+        for (const Pin &p : pins) {
+            Scene s = makeScene(p.scene);
+            EXPECT_EQ(textureDigest(s), p.textures)
+                << s.name << " textures at " << threads << " threads";
+            EXPECT_EQ(geometryDigest(s), p.geometry)
+                << s.name << " geometry at " << threads << " threads";
+        }
+    }
+}
 
 TEST(Scenes, FlightMatchesTable41)
 {

@@ -22,6 +22,7 @@
 #include "core/experiment.hh"
 #include "core/scene_layout.hh"
 #include "core/shard_replay.hh"
+#include "thread_env.hh"
 #include "trace/chunked_trace.hh"
 #include "trace/trace_source.hh"
 
@@ -390,31 +391,6 @@ TEST(ShardReplay, SweepAndGroupMatchSerial)
         }
     }
 }
-
-/** Scoped TEXCACHE_THREADS override (restores the prior value). */
-class ThreadEnv
-{
-  public:
-    explicit ThreadEnv(const char *value)
-    {
-        const char *old = std::getenv("TEXCACHE_THREADS");
-        had_ = old != nullptr;
-        if (old)
-            saved_ = old;
-        setenv("TEXCACHE_THREADS", value, 1);
-    }
-    ~ThreadEnv()
-    {
-        if (had_)
-            setenv("TEXCACHE_THREADS", saved_.c_str(), 1);
-        else
-            unsetenv("TEXCACHE_THREADS");
-    }
-
-  private:
-    bool had_;
-    std::string saved_;
-};
 
 TEST(ShardReplay, SetPassMatchesSerialAtEveryShardAndThreadCount)
 {

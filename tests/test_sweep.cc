@@ -16,38 +16,11 @@
 
 #include "cache/cache_sim.hh"
 #include "core/sweep.hh"
+#include "thread_env.hh"
 
 using namespace texcache;
 
 namespace {
-
-/** Scoped TEXCACHE_THREADS override (restores the prior value). */
-class ThreadEnv
-{
-  public:
-    explicit ThreadEnv(const char *value)
-    {
-        const char *old = std::getenv("TEXCACHE_THREADS");
-        had_ = old != nullptr;
-        if (old)
-            saved_ = old;
-        if (value)
-            setenv("TEXCACHE_THREADS", value, 1);
-        else
-            unsetenv("TEXCACHE_THREADS");
-    }
-    ~ThreadEnv()
-    {
-        if (had_)
-            setenv("TEXCACHE_THREADS", saved_.c_str(), 1);
-        else
-            unsetenv("TEXCACHE_THREADS");
-    }
-
-  private:
-    bool had_;
-    std::string saved_;
-};
 
 /** Deterministic per-point work with a heavily skewed cost. */
 uint64_t
@@ -78,6 +51,10 @@ TEST(Sweep, ThreadCountHonorsEnvOverride)
         EXPECT_EQ(Sweep::threadCount(), 1u);
     }
     {
+        ThreadEnv env("1024");
+        EXPECT_EQ(Sweep::threadCount(), Sweep::kMaxThreads);
+    }
+    {
         ThreadEnv env(nullptr);
         EXPECT_GE(Sweep::threadCount(), 1u);
     }
@@ -85,9 +62,13 @@ TEST(Sweep, ThreadCountHonorsEnvOverride)
 
 TEST(SweepDeathTest, RejectsInvalidThreadCounts)
 {
-    // TEXCACHE_THREADS is user configuration: zero, negative or
-    // non-numeric values are a fatal() error, not a silent fallback.
-    for (const char *bad : {"0", "-2", "abc", "", "3x"}) {
+    // TEXCACHE_THREADS is user configuration: zero, negative,
+    // non-numeric or out-of-range values (above Sweep::kMaxThreads, or
+    // beyond what strtol can hold) are a fatal() error, never a silent
+    // fallback, wrap or saturation.
+    for (const char *bad : {"0", "-2", "abc", "", "3x", "1025",
+                            "4294967297", "99999999999999999999",
+                            "-99999999999999999999"}) {
         ThreadEnv env(bad);
         EXPECT_EXIT(Sweep::threadCount(),
                     testing::ExitedWithCode(1), "TEXCACHE_THREADS")

@@ -16,6 +16,7 @@
 #include "cache/cache_sim.hh"
 #include "cache/hierarchy.hh"
 #include "cache/three_c.hh"
+#include "core/experiment.hh"
 #include "core/sweep.hh"
 #include "timing/dram_model.hh"
 #include "tracing/tracing.hh"
@@ -315,6 +316,47 @@ TEST(Tracing, SweepEmitsRunAndPointSpans)
     // Begin/end counts balance.
     EXPECT_EQ(begins.size(),
               eventsOfKind(evs, EventKind::SpanEnd).size());
+}
+
+TEST(Tracing, SceneBuildEmitsOneSpanPerBuild)
+{
+    TracerGuard guard(kSpans);
+    uint16_t build_id = nameId("scene.build");
+    auto builds = [&](const std::vector<Event> &evs) {
+        size_t n = 0;
+        for (const Event &ev : eventsOfKind(evs, EventKind::SpanBegin))
+            n += ev.a == build_id;
+        return n;
+    };
+
+    TraceStore store;
+    SceneSpec quad = SceneSpec::quadScene(64, 128);
+    store.scene(quad);
+    store.scene(quad); // memoized: no second build, no second span
+    std::vector<Event> evs = snapshotEvents();
+    EXPECT_EQ(builds(evs), 1u);
+    EXPECT_EQ(eventsOfKind(evs, EventKind::SpanEnd).size(),
+              eventsOfKind(evs, EventKind::SpanBegin).size());
+
+    // A paper scene's texture fan-out runs inside its build span, so
+    // the pool's sweep.run nests under scene.build on this thread.
+    configure({kSpans, 1, 1 << 16});
+    store.scene(BenchScene::Guitar);
+    evs = snapshotEvents();
+    EXPECT_EQ(builds(evs), 1u);
+    uint16_t run_id = nameId("sweep.run");
+    int depth = 0;
+    bool nested = false;
+    for (const Event &ev : evs) {
+        bool begin = ev.kind == uint8_t(EventKind::SpanBegin);
+        bool end = ev.kind == uint8_t(EventKind::SpanEnd);
+        if (ev.a == build_id && (begin || end))
+            depth += begin ? 1 : -1;
+        else if (ev.a == run_id && begin)
+            nested = depth == 1;
+    }
+    EXPECT_TRUE(nested);
+    EXPECT_EQ(depth, 0);
 }
 
 TEST(Tracing, BinaryLogRoundTripPreservesEverything)
