@@ -49,7 +49,7 @@ main()
         for (const OrderChoice &oc : orders) {
             const RenderOutput &out = store().output(s, oc.order);
             SceneLayout layout(store().scene(s), params);
-            StackDistProfiler prof =
+            ShardedStackProfile prof =
                 profileTrace(out.trace, layout, kLine);
             std::vector<std::string> row = {oc.label};
             for (uint64_t size : sizes)

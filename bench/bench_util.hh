@@ -95,7 +95,8 @@ exportSweepStats(stats::Group &g)
     SweepRunStats s = Sweep::lastRunStats();
     g.constant("points", s.points, "sweep points executed");
     g.constant("threads", s.threads, "worker threads used");
-    g.constant("steals", s.steals, "successful work-steal operations");
+    g.constant("steals", s.steals,
+               "points run by threads other than the caller");
     g.real("wall_ms", s.wallMillis, "whole-run wall-clock");
     g.real("busy_ms", s.busyMillis,
            "point execution time summed over workers");

@@ -14,7 +14,9 @@
  * Every (scene, direction) cell of the sweep is one single-pass
  * FA capacity sweep (runFaSweep); the eight passes run in parallel
  * on the sweep pool after the traces are rendered (or loaded from
- * the trace cache) up front.
+ * the trace cache) up front, and each shards its own pass into time
+ * segments on the same pool, so a long curve no longer holds up the
+ * rest.
  */
 
 #include "bench/bench_util.hh"

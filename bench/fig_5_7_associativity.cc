@@ -18,9 +18,9 @@
  *
  * Each panel hands its full associativity x size grid to
  * runCacheSweep, which collapses the fully associative row into ONE
- * stack-distance pass, groups the set-associative configs per cache
- * size into shared replay passes, and runs the passes on the sweep
- * thread pool - 9 trace passes instead of 40 replays per panel.
+ * stack-distance pass and drives every set-associative config from
+ * ONE set pass, each sharded across the sweep pool - 2 trace passes
+ * instead of 40 replays per panel.
  */
 
 #include "bench/bench_util.hh"

@@ -37,7 +37,7 @@ panel(const char *title, BenchScene s)
         RasterOrder order = sceneOrder(s, tile != 0, tile);
         const RenderOutput &out = store().output(s, order);
         SceneLayout layout(store().scene(s), params);
-        StackDistProfiler prof = profileTrace(out.trace, layout, kLine);
+        ShardedStackProfile prof = profileTrace(out.trace, layout, kLine);
         std::vector<std::string> row = {
             tile == 0 ? "nontiled"
                       : std::to_string(tile) + "x" +

@@ -6,11 +6,12 @@
  *
  * Three stages, then one gated manifest (BENCH_shard_sim.json):
  *
- *  1. Identity: on a small scene, every sharded runner is asserted
- *     field-identical to its serial counterpart at several shard
- *     counts, from memory and from a spilled chunked file (the deep
- *     property sweep lives in tests/test_shard_sim.cc; these asserts
- *     keep the bench honest before it times anything).
+ *  1. Identity: on a small scene, every runner at several shard
+ *     counts is asserted field-identical to the same runner at one
+ *     shard, from memory and from a spilled chunked file (the deep
+ *     property sweep against the plain simulators lives in
+ *     tests/test_shard_sim.cc; these asserts keep the bench honest
+ *     before it times anything).
  *  2. Speedup: a composite workload (FA capacity sweep + a
  *     set-associative family) over a slice of the big trace, serial
  *     (shards=1) versus sharded (shards=worker count), byte-identity
@@ -82,7 +83,7 @@ expectEqual(const CacheStats &a, const CacheStats &b, const char *what)
     panic_if(a.accesses != b.accesses || a.misses != b.misses ||
                  a.coldMisses != b.coldMisses ||
                  a.evictions != b.evictions,
-             "sharded replay diverged from serial: ", what,
+             "sharded replay diverged from one shard: ", what,
              " (accesses ", a.accesses, "/", b.accesses, ", misses ",
              a.misses, "/", b.misses, ", cold ", a.coldMisses, "/",
              b.coldMisses, ", evictions ", a.evictions, "/",
@@ -114,7 +115,7 @@ struct Options
 {
     uint64_t targetAccesses = 1000000000ull;
     bool targetIsDefault = true;
-    unsigned shards = 0; ///< 0 = sweep thread count
+    unsigned shards = 0; ///< 0 = derived from the stream
     std::string dir;     ///< trace directory ("" = env or temp)
     uint64_t speedupFrames = 0; ///< 0 = derived from target
     bool smoke = false;
@@ -195,7 +196,7 @@ traceDir(Options &o, bool &created)
 }
 
 /**
- * Stage 1: sharded == serial on a small scene, several shard counts,
+ * Stage 1: shards = S equals shards = 1 on a small scene, several S,
  * memory and file sources. panic()s on any divergence.
  */
 void
@@ -213,40 +214,31 @@ identityChecks(const std::string &dir, std::vector<uint64_t> &faSizes)
             for (unsigned assoc : {1u, 4u, CacheConfig::kFullyAssoc})
                 configs.push_back({size, line, assoc});
 
-    std::vector<CacheStats> serial =
-        runCacheSweep(trace, layout, configs);
-    std::vector<CacheStats> serialGroup =
-        runCacheGroup(trace, layout, configs);
-
     MemoryTraceSource mem(trace);
-    for (unsigned shards : {1u, 2u, 3u, 5u, 8u}) {
+    std::vector<CacheStats> serial =
+        runCacheSweepSharded(mem, layout, configs, 1);
+    for (unsigned shards : {2u, 3u, 5u, 8u}) {
         std::vector<CacheStats> sharded =
             runCacheSweepSharded(mem, layout, configs, shards);
-        std::vector<CacheStats> shardedGroup =
-            runCacheGroupSharded(mem, layout, configs, shards);
-        for (size_t i = 0; i < configs.size(); ++i) {
+        for (size_t i = 0; i < configs.size(); ++i)
             expectEqual(sharded[i], serial[i], configs[i].str().c_str());
-            expectEqual(shardedGroup[i], serialGroup[i],
-                        configs[i].str().c_str());
-        }
     }
 
     // Single replay + 3-C classification identity.
     CacheConfig one{64 << 10, 64, 2};
     expectEqual(runCacheSharded(mem, layout, one, 3),
-                runCache(trace, layout, one), "single replay");
+                runCacheSharded(mem, layout, one, 1), "single replay");
     MissBreakdown bs = classifySharded(mem, layout, one, 3);
-    MissBreakdown br = classifyCache(trace, layout, one);
+    MissBreakdown br = classifySharded(mem, layout, one, 1);
     panic_if(bs.accesses != br.accesses || bs.misses != br.misses ||
                  bs.cold != br.cold || bs.capacity != br.capacity ||
                  bs.conflict != br.conflict,
-             "sharded 3-C classification diverged from serial");
+             "sharded 3-C classification diverged from one shard");
 
-    // FA sweep identity against the serial profiler at every size.
-    StackDistProfiler prof = profileTrace(trace, layout, 64);
+    // FA profile identity at every size.
+    ShardedStackProfile prof = profileTraceSharded(mem, layout, 64, 1);
     ShardedStackProfile sprof = profileTraceSharded(mem, layout, 64, 4);
-    panic_if(sprof.accesses != prof.accesses() ||
-                 sprof.cold != prof.coldMisses(),
+    panic_if(sprof.accesses != prof.accesses || sprof.cold != prof.cold,
              "sharded stack profile diverged (accesses/cold)");
     for (uint64_t size : faSizes)
         panic_if(sprof.misses(size) != prof.misses(size),
@@ -264,22 +256,22 @@ identityChecks(const std::string &dir, std::vector<uint64_t> &faSizes)
     for (size_t i = 0; i < configs.size(); ++i)
         expectEqual(fromFile[i], serial[i], "file replay");
 
-    // Frame replication == concatenated serial replay.
+    // Frame replication == the concatenated trace.
     TexelTrace twice;
     twice.reserve(trace.size() * 2);
     twice.appendPacked(trace.packed().data(), trace.size());
     twice.appendPacked(trace.packed().data(), trace.size());
     MemoryTraceSource mem2(trace, 2);
     std::vector<CacheStats> serial2 =
-        runCacheGroup(twice, layout, configs);
+        runCacheSweepSharded(MemoryTraceSource(twice), layout, configs, 1);
     std::vector<CacheStats> sharded2 =
-        runCacheGroupSharded(mem2, layout, configs, 3);
+        runCacheSweepSharded(mem2, layout, configs, 3);
     for (size_t i = 0; i < configs.size(); ++i)
         expectEqual(sharded2[i], serial2[i], "frame replication");
 
-    std::cout << "identity: sharded == serial for "
-              << configs.size() << " configs x {1,2,3,5,8} shards, "
-              << "3-C, FA sweep, spilled file, frame replication\n";
+    std::cout << "identity: shards=S == shards=1 for "
+              << configs.size() << " configs x {2,3,5,8} shards, "
+              << "3-C, FA profile, spilled file, frame replication\n";
 }
 
 struct SpeedupResult
@@ -320,7 +312,7 @@ measureSpeedup(const std::string &path, const SceneLayout &layout,
     auto faSerial = runFaSweepSharded(src, layout, 64, faSizes, 1);
     r.faSerialMs = millisSince(t0);
     t0 = std::chrono::steady_clock::now();
-    auto saSerial = runCacheGroupSharded(src, layout, family, 1);
+    auto saSerial = runCacheSweepSharded(src, layout, family, 1);
     r.saSerialMs = millisSince(t0);
     r.serialMs = r.faSerialMs + r.saSerialMs;
 
@@ -330,7 +322,7 @@ measureSpeedup(const std::string &path, const SceneLayout &layout,
     r.faShardedMs = millisSince(t0);
     t0 = std::chrono::steady_clock::now();
     auto saSharded =
-        runCacheGroupSharded(src, layout, family, shards);
+        runCacheSweepSharded(src, layout, family, shards);
     r.saShardedMs = millisSince(t0);
     r.shardedMs = r.faShardedMs + r.saShardedMs;
 
@@ -370,7 +362,7 @@ runSmoke(Options &o)
         big.reserve(frames * perFrame);
         for (uint64_t i = 0; i < frames; ++i)
             big.appendPacked(whole.packed().data(), whole.size());
-        StackDistProfiler prof = profileTrace(big, layout, 64);
+        ShardedStackProfile prof = profileTrace(big, layout, 64);
         std::cout << "materialized profile: "
                   << prof.misses(64 << 10) << " misses @64KB, peak rss "
                   << peakRssBytes() / (1 << 20) << " MiB\n";
@@ -408,7 +400,6 @@ main(int argc, char **argv)
     if (o.smoke)
         return runSmoke(o);
 
-    unsigned shards = resolveShards(o.shards);
     bool createdDir = false;
     std::string dir = traceDir(o, createdDir);
     std::vector<uint64_t> faSizes = cacheSizeSweep(16 << 10, 8 << 20);
@@ -429,6 +420,7 @@ main(int argc, char **argv)
         o.speedupFrames
             ? o.speedupFrames
             : std::max<uint64_t>(1, std::min<uint64_t>(6, frames / 5));
+    unsigned shards = resolveShards(o.shards, speedupFrames * perFrame);
     SpeedupResult sp =
         measureSpeedup(path, SceneLayout(spec.build(), nonblocked()),
                        speedupFrames, shards, faSizes);

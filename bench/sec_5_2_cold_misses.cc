@@ -31,12 +31,12 @@ main()
         SceneLayout layout(store().scene(s), params);
 
         // Cold misses are first touches; rate = cold / accesses.
-        StackDistProfiler p32 = profileTrace(out.trace, layout, 32);
-        StackDistProfiler p128 = profileTrace(out.trace, layout, 128);
+        ShardedStackProfile p32 = profileTrace(out.trace, layout, 32);
+        ShardedStackProfile p128 = profileTrace(out.trace, layout, 128);
         double r32 = static_cast<double>(p32.coldMisses()) /
-                     p32.accesses();
+                     p32.accesses;
         double r128 = static_cast<double>(p128.coldMisses()) /
-                      p128.accesses();
+                      p128.accesses;
         table.row({benchSceneName(s), fmtPercent(r32),
                    fmtPercent(r128),
                    fmtFixed(r32 / r128, 1) + "x"});

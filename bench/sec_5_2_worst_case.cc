@@ -63,7 +63,7 @@ main()
             LayoutParams params;
             params.kind = LayoutKind::Nonblocked;
             SceneLayout layout(scene, params);
-            StackDistProfiler prof =
+            ShardedStackProfile prof =
                 profileTrace(out.trace, layout, kLine);
             // Cap the sweep below the full-texture footprint: repeated
             // textures have a *second* working-set level there (whole-

@@ -57,12 +57,11 @@ struct CacheStats
     uint64_t accesses = 0;
     uint64_t misses = 0;
     uint64_t coldMisses = 0;
-    /** Valid lines displaced by fills. Every CacheSim counts them,
-     *  GroupSim members included (runCacheGroup and the
-     *  set-associative tasks of runCacheSweep). Only capacity sweeps
-     *  read from a stack-distance profile leave this zero: runFaSweep,
-     *  runFaSweepSharded, and the fully associative members of
-     *  runCacheSweep and runCacheSweepSharded. */
+    /** Valid lines displaced by fills, as CacheSim counts them. Every
+     *  runner reports this meaning: for a fully associative
+     *  configuration read from a stack-distance profile it is derived
+     *  as misses - min(capacity in lines, misses), since a flush-free
+     *  LRU cache fills one line per miss until full. */
     uint64_t evictions = 0;
 
     double

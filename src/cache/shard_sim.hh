@@ -43,7 +43,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/multi_sim.hh"
+#include "cache/cache_sim.hh"
 #include "cache/stack_dist.hh"
 
 namespace texcache {
@@ -132,8 +132,8 @@ class SetShardSim
 
 /**
  * What one segment's stack-distance pass hands to the merger. Plain
- * data so sweep workers can return it by value (and the work-stealing
- * pool's result slots can default-construct it).
+ * data so sweep workers can return it by value (and the sweep pool's
+ * result slots can default-construct it).
  */
 struct StackShardPass
 {

@@ -6,11 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 
-#include "perf/perf_counters.hh"
+#include "core/shard_replay.hh"
 #include "trace/chunked_trace.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_source.hh"
 #include "tracing/tracing.hh"
 
 namespace texcache {
@@ -338,139 +338,42 @@ TraceStore::spillTrace(const SceneSpec &s, const RasterOrder &order,
     return path;
 }
 
-StackDistProfiler
+ShardedStackProfile
 profileTrace(const TexelTrace &trace, const SceneLayout &layout,
              unsigned line_bytes)
 {
-    StackDistProfiler prof(line_bytes);
-    perf::addSimulatedAccesses(trace.size());
-    std::vector<Addr> buf;
-    for (size_t i = 0; i < trace.size(); i += SceneLayout::kMapChunk) {
-        size_t end = std::min(trace.size(), i + SceneLayout::kMapChunk);
-        layout.mapRange(trace, i, end, buf);
-        for (Addr a : buf)
-            prof.access(a);
-    }
-    return prof;
+    return profileTraceSharded(MemoryTraceSource(trace), layout,
+                               line_bytes);
 }
 
 CacheStats
 runCache(const TexelTrace &trace, const SceneLayout &layout,
          const CacheConfig &config)
 {
-    // CacheSim internally takes the O(1) fully associative path for
-    // large kFullyAssoc configs, so one code path serves both.
-    CacheSim cache(config);
-    perf::addSimulatedAccesses(trace.size());
-    std::vector<Addr> buf;
-    for (size_t i = 0; i < trace.size(); i += SceneLayout::kMapChunk) {
-        size_t end = std::min(trace.size(), i + SceneLayout::kMapChunk);
-        layout.mapRange(trace, i, end, buf);
-        for (Addr a : buf)
-            cache.access(a);
-    }
-    return cache.stats();
+    return runCacheSharded(MemoryTraceSource(trace), layout, config);
 }
 
 MissBreakdown
 classifyCache(const TexelTrace &trace, const SceneLayout &layout,
               const CacheConfig &config)
 {
-    MissClassifier cls(config);
-    perf::addSimulatedAccesses(trace.size());
-    std::vector<Addr> buf;
-    for (size_t i = 0; i < trace.size(); i += SceneLayout::kMapChunk) {
-        size_t end = std::min(trace.size(), i + SceneLayout::kMapChunk);
-        layout.mapRange(trace, i, end, buf);
-        for (Addr a : buf)
-            cls.access(a);
-    }
-    return cls.breakdown();
+    return classifySharded(MemoryTraceSource(trace), layout, config);
 }
 
 std::vector<CacheStats>
 runFaSweep(const TexelTrace &trace, const SceneLayout &layout,
            unsigned line_bytes, const std::vector<uint64_t> &sizes)
 {
-    FaCapacitySweep sweep(line_bytes, sizes);
-    perf::addSimulatedAccesses(trace.size());
-    std::vector<Addr> buf;
-    for (size_t i = 0; i < trace.size(); i += SceneLayout::kMapChunk) {
-        size_t end = std::min(trace.size(), i + SceneLayout::kMapChunk);
-        layout.mapRange(trace, i, end, buf);
-        sweep.accessRange(buf.data(), buf.size());
-    }
-    return sweep.stats();
-}
-
-std::vector<CacheStats>
-runCacheGroup(const TexelTrace &trace, const SceneLayout &layout,
-              const std::vector<CacheConfig> &configs)
-{
-    GroupSim group(configs);
-    perf::addSimulatedAccesses(trace.size());
-    std::vector<Addr> buf;
-    for (size_t i = 0; i < trace.size(); i += SceneLayout::kMapChunk) {
-        size_t end = std::min(trace.size(), i + SceneLayout::kMapChunk);
-        layout.mapRange(trace, i, end, buf);
-        group.accessRange(buf.data(), buf.size());
-    }
-    return group.stats();
+    return runFaSweepSharded(MemoryTraceSource(trace), layout,
+                             line_bytes, sizes);
 }
 
 std::vector<CacheStats>
 runCacheSweep(const TexelTrace &trace, const SceneLayout &layout,
               const std::vector<CacheConfig> &configs)
 {
-    // Partition the configs into single-pass tasks: one stack-distance
-    // pass per distinct fully-associative line size, one grouped
-    // replay per set-associative (size, line) family.
-    struct Task
-    {
-        bool fa = false;
-        unsigned line = 0;
-        std::vector<uint64_t> sizes;     ///< FA capacities
-        std::vector<CacheConfig> cfgs;   ///< set-associative members
-        std::vector<size_t> indices;     ///< positions in `configs`
-    };
-    std::map<unsigned, size_t> fa_tasks; // line -> task index
-    std::map<std::pair<uint64_t, unsigned>, size_t> sa_tasks;
-    std::vector<Task> tasks;
-
-    for (size_t i = 0; i < configs.size(); ++i) {
-        const CacheConfig &c = configs[i];
-        if (c.assoc == CacheConfig::kFullyAssoc) {
-            auto [it, fresh] =
-                fa_tasks.try_emplace(c.lineBytes, tasks.size());
-            if (fresh) {
-                tasks.emplace_back();
-                tasks.back().fa = true;
-                tasks.back().line = c.lineBytes;
-            }
-            Task &t = tasks[it->second];
-            t.sizes.push_back(c.sizeBytes);
-            t.indices.push_back(i);
-        } else {
-            auto [it, fresh] = sa_tasks.try_emplace(
-                std::make_pair(c.sizeBytes, c.lineBytes), tasks.size());
-            if (fresh)
-                tasks.emplace_back();
-            Task &t = tasks[it->second];
-            t.cfgs.push_back(c);
-            t.indices.push_back(i);
-        }
-    }
-
-    auto results = Sweep::run(tasks, [&](const Task &t) {
-        return t.fa ? runFaSweep(trace, layout, t.line, t.sizes)
-                    : runCacheGroup(trace, layout, t.cfgs);
-    });
-
-    std::vector<CacheStats> out(configs.size());
-    for (size_t t = 0; t < tasks.size(); ++t)
-        for (size_t k = 0; k < tasks[t].indices.size(); ++k)
-            out[tasks[t].indices[k]] = results[t].value[k];
-    return out;
+    return runCacheSweepSharded(MemoryTraceSource(trace), layout,
+                                configs);
 }
 
 std::vector<uint64_t>
@@ -504,7 +407,7 @@ firstWorkingSet(const std::vector<double> &rates,
 }
 
 uint64_t
-firstWorkingSet(const StackDistProfiler &prof,
+firstWorkingSet(const ShardedStackProfile &prof,
                 const std::vector<uint64_t> &sizes, double capture)
 {
     std::vector<double> rates;

@@ -6,7 +6,11 @@
  * Rendering the benchmark scenes is the expensive step, so a TraceStore
  * memoizes (scene, rasterization order) -> RenderOutput within one
  * process. The runner functions replay a trace through a SceneLayout
- * into cache models and return the statistics the paper plots.
+ * into cache models and return the statistics the paper plots. They
+ * forward to the replay engine (core/shard_replay.hh) over a
+ * MemoryTraceSource, with the shard count derived from the trace, so
+ * a paper trace is sharded across the sweep pool; their results equal
+ * the plain per-address simulators' (tests/oracle.hh).
  */
 
 #ifndef TEXCACHE_CORE_EXPERIMENT_HH
@@ -18,8 +22,7 @@
 #include <vector>
 
 #include "cache/cache_sim.hh"
-#include "cache/multi_sim.hh"
-#include "cache/stack_dist.hh"
+#include "cache/shard_sim.hh"
 #include "cache/three_c.hh"
 #include "core/scene_layout.hh"
 #include "core/sweep.hh"
@@ -171,25 +174,26 @@ uint64_t traceCacheCapBytes();
 uint64_t pruneTraceCache(const std::string &dir, uint64_t cap_bytes,
                          const std::string &keep = "");
 
-/** Replay a trace through a layout into a stack-distance profiler. */
-StackDistProfiler profileTrace(const TexelTrace &trace,
-                               const SceneLayout &layout,
-                               unsigned line_bytes);
+/** Exact stack-distance profile of a trace through a layout. */
+ShardedStackProfile profileTrace(const TexelTrace &trace,
+                                 const SceneLayout &layout,
+                                 unsigned line_bytes);
 
 /** Replay a trace through a layout into one cache configuration. */
 CacheStats runCache(const TexelTrace &trace, const SceneLayout &layout,
                     const CacheConfig &config);
 
-/** Replay with side-by-side FA twin for 3-C classification. */
+/** 3-C classification against the fully associative twin of equal
+ *  size. */
 MissBreakdown classifyCache(const TexelTrace &trace,
                             const SceneLayout &layout,
                             const CacheConfig &config);
 
 /**
  * Exact fully-associative LRU stats for every capacity in @p sizes
- * from ONE pass over the trace (Mattson inclusion; see
- * cache/multi_sim.hh). Equivalent to |sizes| runCache calls at
- * kFullyAssoc but paying the replay once.
+ * from ONE stack-distance pass over the trace (Mattson inclusion).
+ * Equivalent to |sizes| runCache calls at kFullyAssoc but paying the
+ * replay once.
  */
 std::vector<CacheStats> runFaSweep(const TexelTrace &trace,
                                    const SceneLayout &layout,
@@ -197,21 +201,11 @@ std::vector<CacheStats> runFaSweep(const TexelTrace &trace,
                                    const std::vector<uint64_t> &sizes);
 
 /**
- * One shared replay pass driving every configuration in @p configs
- * (typically the associativities of one (size, line) family). Results
- * align with the config list.
- */
-std::vector<CacheStats>
-runCacheGroup(const TexelTrace &trace, const SceneLayout &layout,
-              const std::vector<CacheConfig> &configs);
-
-/**
  * Exact stats for an arbitrary config list using the fewest possible
  * trace passes: fully associative configs collapse into one
  * stack-distance pass per distinct line size, set-associative ones
- * group by (size, line) family; the resulting passes execute on the
- * sweep thread pool (core/sweep.hh). Results align with @p configs
- * and are bit-identical to per-config runCache replays.
+ * into one set pass. Results align with @p configs and are
+ * bit-identical to per-config runCache replays.
  */
 std::vector<CacheStats>
 runCacheSweep(const TexelTrace &trace, const SceneLayout &layout,
@@ -227,7 +221,7 @@ std::vector<uint64_t> cacheSizeSweep(uint64_t lo = 1 << 10,
  * reduction between the smallest and largest swept caches - i.e. the
  * end of the steep part of the miss-rate-versus-size curve.
  */
-uint64_t firstWorkingSet(const StackDistProfiler &prof,
+uint64_t firstWorkingSet(const ShardedStackProfile &prof,
                          const std::vector<uint64_t> &sizes,
                          double capture = 0.85);
 

@@ -2,20 +2,29 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <utility>
 
+#include "common/bits.hh"
 #include "common/logging.hh"
 #include "core/sweep.hh"
 #include "perf/perf_counters.hh"
+#include "tracing/tracing.hh"
 
 namespace texcache {
 
+/** Records per shard in one window of the set-partitioned pass. */
+constexpr unsigned kWindowShift = 18;
+
 unsigned
-resolveShards(unsigned shards)
+resolveShards(unsigned shards, uint64_t records)
 {
-    return shards ? shards : Sweep::threadCount();
+    if (shards)
+        return shards;
+    return static_cast<unsigned>(std::clamp<uint64_t>(
+        records >> kWindowShift, 1, Sweep::threadCount()));
 }
 
 namespace {
@@ -40,8 +49,21 @@ ShardedStackProfile
 stackPass(const TraceSource &src, const SceneLayout &layout,
           unsigned line_bytes, unsigned shards)
 {
+    static const uint16_t kSpan = tracing::nameId("sim.fa");
+    tracing::ScopedSpan span(kSpan, line_bytes);
     perf::addSimulatedAccesses(src.records());
     unsigned segs = segmentCount(src, shards);
+    if (segs == 1) {
+        // One segment is the whole stream: nothing to reconcile.
+        StackDistProfiler prof(line_bytes);
+        replaySegment(src, layout, 0, src.chunkCount(),
+                      [&](const Addr *a, size_t n) {
+                          for (size_t i = 0; i < n; ++i)
+                              prof.access(a[i]);
+                      });
+        return {log2Exact(line_bytes), prof.accesses(),
+                prof.coldMisses(), prof.histogram()};
+    }
     std::vector<unsigned> ids(segs);
     std::iota(ids.begin(), ids.end(), 0u);
     auto results = Sweep::run(ids, [&](unsigned seg) {
@@ -60,9 +82,6 @@ stackPass(const TraceSource &src, const SceneLayout &layout,
     return mergeStackShards(passes, line_bytes);
 }
 
-/** Records per shard in one window of the set-partitioned pass. */
-constexpr uint64_t kWindowRecordsPerShard = 1 << 18;
-
 /**
  * Set-partitioned pass: the stream is decoded once and every shard
  * simulates only its own sets (SetShardSim). It runs in windows of
@@ -78,18 +97,21 @@ std::vector<CacheStats>
 setPass(const TraceSource &src, const SceneLayout &layout,
         const std::vector<CacheConfig> &configs, unsigned shards)
 {
+    static const uint16_t kSpan = tracing::nameId("sim.sa");
+    tracing::ScopedSpan span(kSpan, configs.size());
     perf::addSimulatedAccesses(src.records());
     SetShardSim sim(configs, shards);
     const uint64_t chunks = src.chunkCount();
     if (!chunks)
         return sim.stats();
 
-    // About kWindowRecordsPerShard records per shard per window: a
-    // sim's share of a window stays long enough to hide the fork-join,
-    // and the window's buffers stay bounded however long the stream.
+    // About 2^kWindowShift records per shard per window: a sim's
+    // share of a window stays long enough to hide the fork-join, and
+    // the window's buffers stay bounded however long the stream.
     const uint64_t per_chunk = (src.records() + chunks - 1) / chunks;
     const uint64_t window = std::clamp<uint64_t>(
-        shards * kWindowRecordsPerShard / std::max<uint64_t>(1, per_chunk),
+        (uint64_t(shards) << kWindowShift) /
+            std::max<uint64_t>(1, per_chunk),
         1, chunks);
     std::vector<SetShardSim::Span> spans(window);
     std::vector<unsigned> workers(shards);
@@ -124,33 +146,81 @@ setPass(const TraceSource &src, const SceneLayout &layout,
  * Stats of a fully associative LRU cache of @p size_bytes derived
  * from the reconciled profile. A flush-free FA LRU's occupancy grows
  * by one per miss until full and then stays full, so its eviction
- * count is misses - min(capacity, misses); @p derive_evictions
- * selects between that (CacheSim semantics - runCache, runCacheGroup)
- * and zero (collapsed-pass semantics - runFaSweep, runCacheSweep).
+ * count is misses - min(capacity, misses), what CacheSim counts.
  */
 CacheStats
 faStats(const ShardedStackProfile &prof, uint64_t size_bytes,
-        unsigned line_bytes, bool derive_evictions)
+        unsigned line_bytes)
 {
     CacheStats s;
     s.accesses = prof.accesses;
     s.misses = prof.misses(size_bytes);
     s.coldMisses = prof.cold;
-    if (derive_evictions) {
-        uint64_t capacity = size_bytes / line_bytes;
-        s.evictions = s.misses - std::min(capacity, s.misses);
-    }
+    uint64_t capacity = size_bytes / line_bytes;
+    s.evictions = s.misses - std::min(capacity, s.misses);
     return s;
 }
 
-/** Shared engine of the group/sweep runners (they differ only in FA
- *  eviction semantics). */
+} // namespace
+
+ShardedStackProfile
+profileTraceSharded(const TraceSource &src, const SceneLayout &layout,
+                    unsigned line_bytes, unsigned shards)
+{
+    return stackPass(src, layout, line_bytes,
+                     resolveShards(shards, src.records()));
+}
+
+CacheStats
+runCacheSharded(const TraceSource &src, const SceneLayout &layout,
+                const CacheConfig &config, unsigned shards)
+{
+    return runCacheSweepSharded(src, layout, {config}, shards)[0];
+}
+
+MissBreakdown
+classifySharded(const TraceSource &src, const SceneLayout &layout,
+                const CacheConfig &config, unsigned shards)
+{
+    // The configuration and its FA twin in one call: a set pass and a
+    // stack pass, or for an FA configuration one stack pass for both.
+    CacheConfig twin{config.sizeBytes, config.lineBytes,
+                     CacheConfig::kFullyAssoc};
+    std::vector<CacheStats> st =
+        runCacheSweepSharded(src, layout, {config, twin}, shards);
+    const CacheStats &s = st[0], &fa = st[1];
+
+    // Mirrors MissClassifier::breakdown() - the FA twin's misses and
+    // cold misses are exactly the profile's at this capacity.
+    MissBreakdown b;
+    b.accesses = s.accesses;
+    b.misses = s.misses;
+    b.cold = s.coldMisses;
+    b.conflict = s.misses > fa.misses ? s.misses - fa.misses : 0;
+    uint64_t fa_noncold = fa.misses - fa.coldMisses;
+    b.capacity = std::min(fa_noncold, b.misses - b.cold - b.conflict);
+    return b;
+}
+
 std::vector<CacheStats>
-runConfigsSharded(const TraceSource &src, const SceneLayout &layout,
-                  const std::vector<CacheConfig> &configs,
-                  unsigned shards, bool fa_evictions)
+runFaSweepSharded(const TraceSource &src, const SceneLayout &layout,
+                  unsigned line_bytes,
+                  const std::vector<uint64_t> &sizes, unsigned shards)
+{
+    fatal_if(sizes.empty(), "capacity sweep with no sizes");
+    std::vector<CacheConfig> configs;
+    for (uint64_t size : sizes)
+        configs.push_back({size, line_bytes, CacheConfig::kFullyAssoc});
+    return runCacheSweepSharded(src, layout, configs, shards);
+}
+
+std::vector<CacheStats>
+runCacheSweepSharded(const TraceSource &src, const SceneLayout &layout,
+                     const std::vector<CacheConfig> &configs,
+                     unsigned shards)
 {
     fatal_if(configs.empty(), "sharded sweep with no configs");
+    shards = resolveShards(shards, src.records());
 
     std::vector<CacheConfig> sa;
     std::vector<size_t> sa_idx;
@@ -165,99 +235,34 @@ runConfigsSharded(const TraceSource &src, const SceneLayout &layout,
     }
 
     std::vector<CacheStats> out(configs.size());
-    if (!sa.empty()) {
-        std::vector<CacheStats> stats = setPass(src, layout, sa, shards);
-        for (size_t k = 0; k < sa_idx.size(); ++k)
-            out[sa_idx[k]] = stats[k];
-    }
-    for (const auto &[line, idx] : fa_by_line) {
-        ShardedStackProfile prof =
-            stackPass(src, layout, line, shards);
-        for (size_t i : idx)
-            out[i] = faStats(prof, configs[i].sizeBytes, line,
-                             fa_evictions);
-    }
+    std::vector<std::function<void()>> passes;
+    if (!sa.empty())
+        passes.emplace_back([&] {
+            std::vector<CacheStats> stats =
+                setPass(src, layout, sa, shards);
+            for (size_t k = 0; k < sa_idx.size(); ++k)
+                out[sa_idx[k]] = stats[k];
+        });
+    for (const auto &[line, idx] : fa_by_line)
+        passes.emplace_back([&, line = line, &idx = idx] {
+            ShardedStackProfile prof =
+                stackPass(src, layout, line, shards);
+            for (size_t i : idx)
+                out[i] = faStats(prof, configs[i].sizeBytes, line);
+        });
+
+    // Passes that leave pool threads idle run side by side. A pass
+    // that fills the pool already keeps every worker busy, so such
+    // passes run in turn rather than contend for cores and caches.
+    if (passes.size() > 1 && shards < Sweep::threadCount())
+        Sweep::run(passes, [](const std::function<void()> &pass) {
+            pass();
+            return true;
+        });
+    else
+        for (const std::function<void()> &pass : passes)
+            pass();
     return out;
-}
-
-} // namespace
-
-ShardedStackProfile
-profileTraceSharded(const TraceSource &src, const SceneLayout &layout,
-                    unsigned line_bytes, unsigned shards)
-{
-    return stackPass(src, layout, line_bytes, resolveShards(shards));
-}
-
-CacheStats
-runCacheSharded(const TraceSource &src, const SceneLayout &layout,
-                const CacheConfig &config, unsigned shards)
-{
-    shards = resolveShards(shards);
-    if (config.assoc == CacheConfig::kFullyAssoc) {
-        // Set partitioning degenerates for one set; the segmented
-        // stack pass parallelizes instead (CacheSim semantics, so
-        // evictions are derived).
-        ShardedStackProfile prof =
-            stackPass(src, layout, config.lineBytes, shards);
-        return faStats(prof, config.sizeBytes, config.lineBytes, true);
-    }
-    return setPass(src, layout, {config}, shards)[0];
-}
-
-MissBreakdown
-classifySharded(const TraceSource &src, const SceneLayout &layout,
-                const CacheConfig &config, unsigned shards)
-{
-    shards = resolveShards(shards);
-    CacheStats s = runCacheSharded(src, layout, config, shards);
-    ShardedStackProfile prof =
-        stackPass(src, layout, config.lineBytes, shards);
-    uint64_t fa_misses = prof.misses(config.sizeBytes);
-
-    // Mirrors MissClassifier::breakdown() - the FA twin's misses and
-    // cold misses are exactly the profile's at this capacity.
-    MissBreakdown b;
-    b.accesses = s.accesses;
-    b.misses = s.misses;
-    b.cold = s.coldMisses;
-    b.conflict = s.misses > fa_misses ? s.misses - fa_misses : 0;
-    uint64_t fa_noncold = fa_misses - prof.cold;
-    b.capacity = std::min(fa_noncold, b.misses - b.cold - b.conflict);
-    return b;
-}
-
-std::vector<CacheStats>
-runFaSweepSharded(const TraceSource &src, const SceneLayout &layout,
-                  unsigned line_bytes,
-                  const std::vector<uint64_t> &sizes, unsigned shards)
-{
-    fatal_if(sizes.empty(), "capacity sweep with no sizes");
-    ShardedStackProfile prof =
-        stackPass(src, layout, line_bytes, resolveShards(shards));
-    std::vector<CacheStats> out;
-    out.reserve(sizes.size());
-    for (uint64_t size : sizes)
-        out.push_back(faStats(prof, size, line_bytes, false));
-    return out;
-}
-
-std::vector<CacheStats>
-runCacheGroupSharded(const TraceSource &src, const SceneLayout &layout,
-                     const std::vector<CacheConfig> &configs,
-                     unsigned shards)
-{
-    return runConfigsSharded(src, layout, configs,
-                             resolveShards(shards), true);
-}
-
-std::vector<CacheStats>
-runCacheSweepSharded(const TraceSource &src, const SceneLayout &layout,
-                     const std::vector<CacheConfig> &configs,
-                     unsigned shards)
-{
-    return runConfigsSharded(src, layout, configs,
-                             resolveShards(shards), false);
 }
 
 } // namespace texcache

@@ -1,36 +1,46 @@
 /**
  * @file
- * Sharded, streamed replay of ONE simulation across the sweep pool.
+ * The replay engine: every simulation of a texel stream, sharded
+ * across the sweep pool and fed from a stream of chunks.
  *
- * The sweep engine (core/sweep.hh) parallelizes across independent
- * sweep points; these runners parallelize *inside* a single point by
+ * The sweep pool (core/sweep.hh) parallelizes across independent
+ * sweep points; these runners parallelize *inside* one call by
  * sharding the simulation itself (cache/shard_sim.hh) and consuming
- * the trace as a stream of chunks (trace/trace_source.hh):
+ * the trace as a stream of chunks (trace/trace_source.hh). The
+ * TexelTrace runners of core/experiment.hh forward here over a
+ * MemoryTraceSource, so this is the only replay engine. A call runs
+ * one pass per kind of simulation:
  *
- *  - set-associative configurations: the stream is decoded once, in
- *    windows of chunks mapped in parallel; each address is scattered
- *    by its shard key, (addr >> lineShift) & (K - 1) with K the
- *    smallest power of two >= shards, into per-shard buckets, and
- *    each shard simulates only its own sets' accesses. Configurations
- *    with fewer sets than shards read the whole window in one sim, so
- *    they stay exact. Workers claim the sims of a window one at a
- *    time, longest first, so uneven sims still load them evenly;
- *  - fully associative profiles: the chunk range is cut into
- *    contiguous segments profiled independently and reconciled
- *    exactly.
+ *  - set-associative configurations share one set pass ("sim.sa"
+ *    span): the stream is decoded once, in windows of chunks mapped
+ *    in parallel; each address is scattered by its shard key,
+ *    (addr >> lineShift) & (K - 1) with K the smallest power of two
+ *    >= shards, into per-shard buckets, and each shard simulates only
+ *    its own sets' accesses. Configurations with fewer sets than
+ *    shards read the whole window in one sim, so they stay exact.
+ *    Workers claim the sims of a window one at a time, longest first,
+ *    so uneven sims still load them evenly;
+ *  - fully associative configurations get one stack pass per line
+ *    size ("sim.fa" span): the chunk range is cut into contiguous
+ *    segments profiled independently and reconciled exactly.
  *
- * All runners return statistics bit-identical to their serial
- * counterparts in core/experiment.hh for every shard count (the
- * decompositions are exact, not approximate), and peak memory stays
- * bounded regardless of trace length - the billion-access runs of
- * bench/micro_shard.cc never materialize a trace. A set-associative
- * window holds about shards x 2^18 records; its buffers cost about
- * 8 bytes per address, times one plus the number of line sizes.
+ * When the shard count leaves pool threads idle, a call's passes run
+ * side by side as tasks of one fork-join; when it fills the pool they
+ * run in turn.
  *
- * @p shards selects the decomposition width; 0 means the sweep
- * thread count. Shard count and thread count are independent: 8
- * shards on a 1-thread pool produce the same bytes as 8 shards on 8
- * threads (tests/test_shard_sim.cc sweeps both).
+ * All runners return statistics bit-identical to the plain
+ * per-address simulators for every shard count (the decompositions
+ * are exact, not approximate; tests/oracle.hh holds those simulators),
+ * and peak memory stays bounded regardless of trace length - the
+ * billion-access runs of bench/micro_shard.cc never materialize a
+ * trace. A set-associative window holds about shards x 2^18 records;
+ * its buffers cost about 8 bytes per address, times one plus the
+ * number of line sizes.
+ *
+ * @p shards selects the decomposition width; 0 derives it from the
+ * stream (resolveShards). Shard count and thread count are
+ * independent: 8 shards on a 1-thread pool produce the same bytes as
+ * 8 shards on 8 threads (tests/test_shard_sim.cc sweeps both).
  */
 
 #ifndef TEXCACHE_CORE_SHARD_REPLAY_HH
@@ -46,8 +56,13 @@
 
 namespace texcache {
 
-/** @p shards, or the sweep thread count when @p shards is 0. */
-unsigned resolveShards(unsigned shards);
+/**
+ * @p shards, or when it is 0 the default for a stream of @p records:
+ * one shard per 2^18 records (a set-pass window's share per shard),
+ * at least 1 and at most Sweep::threadCount(). A paper trace takes
+ * every worker; a short stream such as a texcached pass takes one.
+ */
+unsigned resolveShards(unsigned shards, uint64_t records);
 
 /**
  * Stream chunks [@p chunk_begin, @p chunk_end) of @p src, map each
@@ -72,45 +87,37 @@ replaySegment(const TraceSource &src, const SceneLayout &layout,
         });
 }
 
-/** Sharded profileTrace: exact whole-stream stack profile. */
+/** Exact whole-stream stack-distance profile at @p line_bytes. */
 ShardedStackProfile profileTraceSharded(const TraceSource &src,
                                         const SceneLayout &layout,
                                         unsigned line_bytes,
                                         unsigned shards = 0);
 
-/** Sharded runCache: bit-identical to the serial single replay. */
+/** Stats of one configuration. */
 CacheStats runCacheSharded(const TraceSource &src,
                            const SceneLayout &layout,
                            const CacheConfig &config,
                            unsigned shards = 0);
 
-/** Sharded classifyCache: the same 3-C breakdown, with the FA twin
- *  served by the reconciled stack profile. */
+/** 3-C breakdown of one configuration; its fully associative twin
+ *  of equal size is served by a stack pass. */
 MissBreakdown classifySharded(const TraceSource &src,
                               const SceneLayout &layout,
                               const CacheConfig &config,
                               unsigned shards = 0);
 
-/** Sharded runFaSweep: per-capacity stats from one segmented pass. */
+/** Fully associative stats for every capacity in @p sizes from one
+ *  stack pass. */
 std::vector<CacheStats>
 runFaSweepSharded(const TraceSource &src, const SceneLayout &layout,
                   unsigned line_bytes,
                   const std::vector<uint64_t> &sizes,
                   unsigned shards = 0);
 
-/** Sharded runCacheGroup (any mix of configurations). */
-std::vector<CacheStats>
-runCacheGroupSharded(const TraceSource &src, const SceneLayout &layout,
-                     const std::vector<CacheConfig> &configs,
-                     unsigned shards = 0);
-
 /**
- * Sharded runCacheSweep. The sharded engine already collapses every
- * set-associative configuration into one set-partitioned pass and
- * every fully associative line size into one segmented stack pass, so
- * this is the same engine as runCacheGroupSharded except that fully
- * associative results carry evictions == 0, matching runCacheSweep's
- * collapsed passes (see CacheStats::evictions).
+ * Stats for any mix of configurations, aligned with @p configs: one
+ * set pass for the set-associative ones and one stack pass per line
+ * size for the fully associative ones.
  */
 std::vector<CacheStats>
 runCacheSweepSharded(const TraceSource &src, const SceneLayout &layout,

@@ -1,13 +1,15 @@
 #include "core/sweep.hh"
 
 #include <atomic>
-#include <chrono>
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
+
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "tracing/tracing.hh"
@@ -46,72 +48,244 @@ informProgress(uint64_t completed, uint64_t total, double elapsed_ms)
            static_cast<uint64_t>(eta_s + 0.5), "s");
 }
 
-/** Nesting depth of runIndexed across all threads; only the run that
- *  entered at depth 0 publishes SweepRunStats. */
-std::atomic<int> activeRuns{0};
+constexpr auto kHeartbeat = std::chrono::seconds(2);
+
 std::mutex lastStatsMutex;
 SweepRunStats lastStats;
 
 /**
- * A worker's remaining index range, packed (begin << 32 | end) into
- * one atomic word so the owner's pop and a thief's steal are both
- * single CAS operations.
+ * One pooled Sweep::run in flight. It lives on its caller's stack;
+ * every thread that runs its points claims them off one shared
+ * counter, lowest index first.
  */
-class StealRange
+struct Job
+{
+    Job(const std::function<void(size_t)> &w, size_t points,
+        unsigned t, const Job *p)
+        : work(w), n(points), threads(t), parent(p)
+    {}
+
+    const std::function<void(size_t)> &work;
+    const size_t n;
+    /** Threads allowed to run its points: the caller plus pool
+     *  workers [0, threads - 1). */
+    const unsigned threads;
+    /** The job whose point the caller was running, if any. */
+    const Job *parent;
+
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> done{0}; ///< finished points, for the heartbeat
+    std::atomic<bool> failed{false};
+    std::atomic<uint64_t> busyNs{0};
+    std::atomic<uint64_t> helped{0}; ///< points run by other threads
+    /** Threads other than the caller inside runPoints, and the first
+     *  exception a point threw; both under Pool::mu_. */
+    unsigned helpers = 0;
+    std::exception_ptr error;
+
+    bool
+    descendsFrom(const Job &ancestor) const
+    {
+        for (const Job *j = parent; j; j = j->parent)
+            if (j == &ancestor)
+                return true;
+        return false;
+    }
+};
+
+/** Points of enclosing runs on this thread's stack; a run entered at
+ *  zero is top-level and publishes its SweepRunStats. */
+thread_local unsigned tlsNesting = 0;
+/** The pooled job whose point this thread is running. */
+thread_local const Job *tlsJob = nullptr;
+/** This thread's pool worker index, or -1 outside the pool. */
+thread_local int tlsWorker = -1;
+
+/**
+ * The process-wide pool: workers start on first need, one per thread
+ * slot beyond the caller's, and park on a condition variable when no
+ * job admits them. Worker w may run points of a job whose thread
+ * count exceeds w + 1, so every job runs on its caller and the lowest
+ * workers, and no more than threadCount() threads ever run points.
+ * A caller runs its own job's points; once they are all claimed it
+ * helps the jobs nested under its own until its job is done.
+ */
+class Pool
 {
   public:
+    static Pool &
+    get()
+    {
+        // Never destroyed: at exit, shutdown() joins the workers when
+        // none is inside a point, and otherwise leaves them to the
+        // process's end (a fatal() from inside a point).
+        static Pool *pool = [] {
+            Pool *p = new Pool;
+            std::atexit([] { get().shutdown(); });
+            return p;
+        }();
+        return *pool;
+    }
+
+    /** Run every point of @p job; returns when all have finished. */
     void
-    set(uint32_t begin, uint32_t end)
+    run(Job &job, bool progress, Clock::time_point start)
     {
-        r_.store(pack(begin, end), std::memory_order_release);
-    }
-
-    /** Owner side: take the front index. */
-    bool
-    pop(uint32_t &idx)
-    {
-        uint64_t cur = r_.load(std::memory_order_acquire);
-        for (;;) {
-            uint32_t b = begin(cur), e = end(cur);
-            if (b >= e)
-                return false;
-            if (r_.compare_exchange_weak(cur, pack(b + 1, e),
-                                         std::memory_order_acq_rel)) {
-                idx = b;
-                return true;
-            }
+        {
+            std::lock_guard<std::mutex> g(mu_);
+            while (!stop_ && workers_.size() + 1 < job.threads)
+                workers_.emplace_back(&Pool::workerMain, this,
+                                      static_cast<int>(workers_.size()));
+            jobs_.push_back(&job);
         }
-    }
+        cv_.notify_all();
 
-    /** Thief side: take the back half of the remaining range. */
-    bool
-    stealHalf(uint32_t &sb, uint32_t &se)
-    {
-        uint64_t cur = r_.load(std::memory_order_acquire);
-        for (;;) {
-            uint32_t b = begin(cur), e = end(cur);
-            if (b >= e)
-                return false;
-            uint32_t mid = b + (e - b + 1) / 2;
-            if (r_.compare_exchange_weak(cur, pack(b, mid),
-                                         std::memory_order_acq_rel)) {
-                sb = mid;
-                se = e;
-                return true;
+        auto next_beat = start + kHeartbeat;
+        auto beat = [&] {
+            if (progress && Clock::now() >= next_beat) {
+                uint64_t d = job.done.load(std::memory_order_relaxed);
+                if (d < job.n)
+                    informProgress(d, job.n, millisSince(start));
+                next_beat = Clock::now() + kHeartbeat;
             }
+        };
+        runPoints(job, true, beat);
+
+        // Every point is claimed now, and the ones still running
+        // belong to helpers: the job is done when the last detaches.
+        std::unique_lock<std::mutex> lk(mu_);
+        std::erase(jobs_, &job);
+        auto nested = [&](const Job &j) { return j.descendsFrom(job); };
+        for (;;) {
+            Job *d = nullptr;
+            auto ready = [&] {
+                d = job.helpers ? pick(nested) : nullptr;
+                return !job.helpers || d;
+            };
+            if (!progress)
+                cv_.wait(lk, ready);
+            else if (!cv_.wait_for(lk, kHeartbeat, ready)) {
+                beat();
+                continue;
+            }
+            if (!d)
+                return;
+            help(*d, lk);
         }
     }
 
   private:
-    static uint64_t
-    pack(uint32_t b, uint32_t e)
-    {
-        return (static_cast<uint64_t>(b) << 32) | e;
-    }
-    static uint32_t begin(uint64_t r) { return static_cast<uint32_t>(r >> 32); }
-    static uint32_t end(uint64_t r) { return static_cast<uint32_t>(r); }
+    Pool() = default;
 
-    std::atomic<uint64_t> r_{0};
+    /** The newest job with points left that @p admits; mu_ held. */
+    template <typename Admits>
+    Job *
+    pick(Admits admits)
+    {
+        for (auto it = jobs_.rbegin(); it != jobs_.rend(); ++it)
+            if ((*it)->next.load(std::memory_order_relaxed) < (*it)->n &&
+                admits(**it))
+                return *it;
+        return nullptr;
+    }
+
+    /** Run points of another thread's job @p j; @p lk holds mu_. */
+    void
+    help(Job &j, std::unique_lock<std::mutex> &lk)
+    {
+        ++j.helpers;
+        ++busy_;
+        lk.unlock();
+        runPoints(j, false, [] {});
+        lk.lock();
+        --busy_;
+        if (--j.helpers == 0)
+            cv_.notify_all();
+    }
+
+    /** Claim and run points of @p job until none is left to claim. */
+    template <typename Beat>
+    void
+    runPoints(Job &job, bool caller, Beat beat)
+    {
+        static const uint16_t kPointSpan =
+            tracing::nameId("sweep.point");
+        const Job *outer = tlsJob;
+        tlsJob = &job;
+        for (;;) {
+            size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= job.n)
+                break;
+            if (!job.failed.load(std::memory_order_relaxed)) {
+                auto t0 = Clock::now();
+                ++tlsNesting;
+                try {
+                    tracing::ScopedSpan point_span(kPointSpan, i);
+                    job.work(i);
+                } catch (...) {
+                    std::lock_guard<std::mutex> g(mu_);
+                    if (!job.error)
+                        job.error = std::current_exception();
+                    job.failed.store(true, std::memory_order_relaxed);
+                }
+                --tlsNesting;
+                job.busyNs.fetch_add(
+                    static_cast<uint64_t>(
+                        std::chrono::duration_cast<
+                            std::chrono::nanoseconds>(Clock::now() - t0)
+                            .count()),
+                    std::memory_order_relaxed);
+                if (!caller)
+                    job.helped.fetch_add(1, std::memory_order_relaxed);
+            }
+            job.done.fetch_add(1, std::memory_order_relaxed);
+            beat();
+        }
+        tlsJob = outer;
+    }
+
+    void
+    workerMain(int self)
+    {
+        tlsWorker = self;
+        std::unique_lock<std::mutex> lk(mu_);
+        for (;;) {
+            Job *j = nullptr;
+            cv_.wait(lk, [&] {
+                j = pick([&](const Job &job) {
+                    return unsigned(self) + 1 < job.threads;
+                });
+                return j || stop_;
+            });
+            if (!j)
+                return;
+            help(*j, lk);
+        }
+    }
+
+    void
+    shutdown()
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        // A worker still inside a point (exit() from a point) would
+        // never be joined, nor would the parent's workers in a forked
+        // child: leave both to the process's end.
+        if (busy_ || !jobs_.empty() || tlsWorker >= 0 || getpid() != pid_)
+            return;
+        stop_ = true;
+        lk.unlock();
+        cv_.notify_all();
+        for (std::thread &t : workers_)
+            t.join();
+    }
+
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::vector<Job *> jobs_;   ///< jobs whose caller still claims
+    std::vector<std::thread> workers_;
+    unsigned busy_ = 0;         ///< threads inside help()
+    bool stop_ = false;
+    const pid_t pid_ = getpid();
 };
 
 } // namespace
@@ -146,33 +320,23 @@ Sweep::lastRunStats()
 void
 Sweep::runIndexed(size_t n, const std::function<void(size_t)> &work)
 {
-    panic_if(n > ~0u, "sweep of ", n, " points exceeds 32-bit indices");
     static const uint16_t kRunSpan = tracing::nameId("sweep.run");
     static const uint16_t kPointSpan = tracing::nameId("sweep.point");
     tracing::ScopedSpan run_span(kRunSpan, n);
     unsigned threads = threadCount();
     if (threads > n)
         threads = static_cast<unsigned>(n);
+    const bool top = tlsNesting == 0;
+    const auto run_start = Clock::now();
+    const bool progress = progressEnabled();
 
-    bool top = activeRuns.fetch_add(1, std::memory_order_acq_rel) == 0;
-    struct ActiveGuard
-    {
-        ~ActiveGuard()
-        {
-            activeRuns.fetch_sub(1, std::memory_order_acq_rel);
-        }
-    } active_guard;
-    auto run_start = Clock::now();
-    bool progress = progressEnabled();
-    constexpr auto kHeartbeat = std::chrono::seconds(2);
-
-    auto publish = [&](uint64_t steals, double busy_ms) {
+    auto publish = [&](uint64_t helped, double busy_ms) {
         if (!top)
             return;
         std::lock_guard<std::mutex> g(lastStatsMutex);
         lastStats.points = n;
         lastStats.threads = threads ? threads : 1;
-        lastStats.steals = steals;
+        lastStats.steals = helped;
         lastStats.wallMillis = millisSince(run_start);
         lastStats.busyMillis = busy_ms;
     };
@@ -181,6 +345,11 @@ Sweep::runIndexed(size_t n, const std::function<void(size_t)> &work)
         auto next_beat = run_start + kHeartbeat;
         for (size_t i = 0; i < n; ++i) {
             {
+                ++tlsNesting;
+                struct Unnest
+                {
+                    ~Unnest() { --tlsNesting; }
+                } unnest;
                 tracing::ScopedSpan point_span(kPointSpan, i);
                 work(i);
             }
@@ -194,103 +363,11 @@ Sweep::runIndexed(size_t n, const std::function<void(size_t)> &work)
         return;
     }
 
-    std::vector<StealRange> queues(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        queues[t].set(static_cast<uint32_t>(n * t / threads),
-                      static_cast<uint32_t>(n * (t + 1) / threads));
-
-    std::atomic<uint64_t> done{0};
-    std::atomic<uint64_t> steals{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_mu;
-    std::vector<double> busy(threads, 0.0);
-
-    auto worker = [&](unsigned self) {
-        StealRange &own = queues[self];
-        for (;;) {
-            uint32_t i;
-            if (own.pop(i)) {
-                auto t0 = Clock::now();
-                try {
-                    tracing::ScopedSpan point_span(kPointSpan, i);
-                    work(i);
-                } catch (...) {
-                    {
-                        std::lock_guard<std::mutex> g(error_mu);
-                        if (!error)
-                            error = std::current_exception();
-                    }
-                    failed.store(true);
-                }
-                busy[self] += millisSince(t0);
-                done.fetch_add(1, std::memory_order_acq_rel);
-                continue;
-            }
-            if (failed.load())
-                return;
-            bool got = false;
-            for (unsigned k = 1; k < threads && !got; ++k) {
-                uint32_t b, e;
-                if (queues[(self + k) % threads].stealHalf(b, e)) {
-                    own.set(b, e);
-                    steals.fetch_add(1, std::memory_order_relaxed);
-                    got = true;
-                }
-            }
-            if (!got) {
-                if (done.load(std::memory_order_acquire) >= n)
-                    return;
-                std::this_thread::yield();
-            }
-        }
-    };
-
-    // Opt-in heartbeat: a monitor thread wakes every heartbeat period
-    // and reports progress; a condition variable lets the run end it
-    // promptly once all points are done.
-    std::mutex beat_mu;
-    std::condition_variable beat_cv;
-    bool finished = false;
-    std::thread monitor;
-    if (progress) {
-        monitor = std::thread([&] {
-            std::unique_lock<std::mutex> lk(beat_mu);
-            for (;;) {
-                if (beat_cv.wait_for(lk, kHeartbeat,
-                                     [&] { return finished; }))
-                    return;
-                uint64_t d = done.load(std::memory_order_acquire);
-                if (d < n)
-                    informProgress(d, n, millisSince(run_start));
-            }
-        });
-    }
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (unsigned t = 1; t < threads; ++t)
-        pool.emplace_back(worker, t);
-    worker(0);
-    for (std::thread &th : pool)
-        th.join();
-
-    if (monitor.joinable()) {
-        {
-            std::lock_guard<std::mutex> g(beat_mu);
-            finished = true;
-        }
-        beat_cv.notify_all();
-        monitor.join();
-    }
-
-    double busy_ms = 0.0;
-    for (double b : busy)
-        busy_ms += b;
-    publish(steals.load(), busy_ms);
-
-    if (error)
-        std::rethrow_exception(error);
+    Job job(work, n, threads, tlsJob);
+    Pool::get().run(job, progress, run_start);
+    publish(job.helped.load(), double(job.busyNs.load()) / 1e6);
+    if (job.error)
+        std::rethrow_exception(job.error);
 }
 
 } // namespace texcache

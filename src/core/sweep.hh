@@ -2,27 +2,33 @@
  * @file
  * Parallel sweep execution over independent simulation points.
  *
- * The figure sweeps that cannot be collapsed into one pass
- * (cache/multi_sim.hh) are embarrassingly parallel: every point owns
- * its simulator state and only reads the shared trace. Sweep::run
- * executes a point list on a work-stealing thread pool - each worker
- * starts with an even slice of the index range and steals the back
- * half of a victim's remaining slice when its own runs dry, which
- * keeps long-running points (big scenes, big caches) from serializing
- * the tail.
+ * The figure sweeps that cannot be collapsed into one pass are
+ * embarrassingly parallel: every point owns its simulator state and
+ * only reads the shared trace. Sweep::run executes a point list on
+ * one process-wide pool. Its workers start once, on first need, and
+ * park on a condition variable when idle. A run's points are claimed
+ * off one shared counter, lowest index first, by its caller and by
+ * the pool workers it admits, so a long-running point never holds up
+ * points queued behind it. The caller runs its own points and, once
+ * they are all claimed, helps the runs nested under its points until
+ * its run is done. A point may itself call Sweep::run (the sharded replay engine
+ * does): the nested run's points go to the same workers, so no more
+ * than threadCount() threads ever run points, however deep the
+ * nesting.
  *
  * Results are stored by point index, so their order is deterministic
  * and identical to serial execution regardless of thread count or
  * scheduling; tests/test_sweep.cc asserts bit-identical output.
  * Per-point wall-clock is captured for the perf harness.
  *
- * Thread count: TEXCACHE_THREADS overrides, else hardware concurrency;
- * zero, negative, non-numeric or out-of-range values (above
- * Sweep::kMaxThreads) are a fatal() configuration error. With one
- * thread (or one point) the pool is bypassed entirely.
+ * Thread count: TEXCACHE_THREADS overrides, else hardware concurrency,
+ * read at every run; zero, negative, non-numeric or out-of-range
+ * values (above Sweep::kMaxThreads) are a fatal() configuration error.
+ * With one thread (or one point) the run is inline on its caller and
+ * starts no thread. The pool joins its workers at exit.
  *
- * Observability: every top-level run records a SweepRunStats (steal
- * count, thread utilization, wall-clock) retrievable via
+ * Observability: every top-level run records a SweepRunStats (points
+ * other threads ran, thread utilization, wall-clock) retrievable via
  * Sweep::lastRunStats() until the next run; benches export it into
  * their stats tree (bench/bench_util.hh). Setting TEXCACHE_PROGRESS=1
  * makes long runs inform() completed/total points and an ETA every
@@ -52,7 +58,7 @@ struct SweepRunStats
 {
     uint64_t points = 0;
     unsigned threads = 0;
-    uint64_t steals = 0;     ///< successful steal operations
+    uint64_t steals = 0;     ///< points run by threads other than the caller
     double wallMillis = 0.0; ///< whole-run wall-clock
     double busyMillis = 0.0; ///< point execution time summed over workers
 
@@ -69,8 +75,8 @@ struct SweepRunStats
 class Sweep
 {
   public:
-    /** Largest TEXCACHE_THREADS accepted: a run starts up to one
-     *  thread per point, so the ceiling bounds what one run spawns. */
+    /** Largest TEXCACHE_THREADS accepted: the pool keeps up to
+     *  threadCount() - 1 workers, so the ceiling bounds its size. */
     static constexpr unsigned kMaxThreads = 1024;
 
     /** Threads the next run will use (TEXCACHE_THREADS or hardware). */
@@ -78,8 +84,8 @@ class Sweep
 
     /**
      * Behavior of the most recent *top-level* run (nested runs - a
-     * point that itself sweeps - fold into their enclosing run's
-     * busy time and do not overwrite this). Read it right after the
+     * point that itself sweeps - fold into their enclosing point's
+     * wall-clock and do not overwrite this). Read it right after the
      * run(...) call whose behavior you want.
      */
     static SweepRunStats lastRunStats();

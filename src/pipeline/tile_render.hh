@@ -5,7 +5,7 @@
  * The screen is decomposed into tiles aligned to the rasterization
  * order's own traversal structure, clipped triangles are binned into
  * the tiles their bounding boxes overlap, and the tiles render
- * concurrently on the core/sweep work-stealing pool - each worker
+ * concurrently on the core/sweep pool - each worker
  * emitting into a private texel-record buffer, private statistics and
  * a private (disjoint) framebuffer region. A deterministic merge then
  * reassembles the per-(triangle, tile) segments in (triangle order,

@@ -123,7 +123,7 @@ struct ServiceRequest
 
     /**
      * Requests with equal batch keys simulate the same (scene, order,
-     * layout) replay and fold into one GroupSim/FaCapacitySweep pass.
+     * layout) replay and fold into one runCacheSweep call.
      */
     std::string batchKey() const;
 

@@ -13,6 +13,7 @@
 
 #include "core/experiment.hh"
 #include "core/scene_layout.hh"
+#include "oracle.hh"
 #include "trace/trace_io.hh"
 
 using namespace texcache;
@@ -73,13 +74,13 @@ TEST(Experiment, ProfilerMatchesExplicitFaCache)
     p.kind = LayoutKind::Blocked;
     p.blockW = p.blockH = 4;
     SceneLayout lay(fix().scene, p);
-    StackDistProfiler prof = profileTrace(fix().out.trace, lay, 32);
+    ShardedStackProfile prof = profileTrace(fix().out.trace, lay, 32);
     for (uint64_t size : {2048u, 8192u, 32768u}) {
-        CacheStats fa = runCache(
+        CacheStats fa = oracle::run(
             fix().out.trace, lay,
             {size, 32, CacheConfig::kFullyAssoc});
         EXPECT_EQ(prof.misses(size), fa.misses) << "size " << size;
-        EXPECT_EQ(prof.accesses(), fa.accesses);
+        EXPECT_EQ(prof.accesses, fa.accesses);
         EXPECT_EQ(prof.coldMisses(), fa.coldMisses);
     }
 }
@@ -121,7 +122,7 @@ TEST(Experiment, FirstWorkingSetFindsThePlateau)
     LayoutParams p;
     p.kind = LayoutKind::Blocked;
     SceneLayout lay(fix().scene, p);
-    StackDistProfiler prof = profileTrace(fix().out.trace, lay, 32);
+    ShardedStackProfile prof = profileTrace(fix().out.trace, lay, 32);
     auto sizes = cacheSizeSweep(1024, 256 * 1024);
     uint64_t ws = firstWorkingSet(prof, sizes);
     EXPECT_GE(ws, sizes.front());
@@ -147,8 +148,8 @@ TEST(Experiment, BlockedBeatsNonblockedAtLargeLines)
     pb.blockH = 4;
     SceneLayout ln(fix().scene, pn);
     SceneLayout lb(fix().scene, pb);
-    StackDistProfiler profile_n = profileTrace(fix().out.trace, ln, 128);
-    StackDistProfiler profile_b = profileTrace(fix().out.trace, lb, 128);
+    ShardedStackProfile profile_n = profileTrace(fix().out.trace, ln, 128);
+    ShardedStackProfile profile_b = profileTrace(fix().out.trace, lb, 128);
     EXPECT_LT(profile_b.missRate(32 * 1024),
               profile_n.missRate(32 * 1024));
 }
@@ -221,7 +222,7 @@ TEST(Experiment, FirstWorkingSetPanicsOnEmptySweep)
     LayoutParams p;
     p.kind = LayoutKind::Nonblocked;
     SceneLayout lay(fix().scene, p);
-    StackDistProfiler prof = profileTrace(fix().out.trace, lay, 32);
+    ShardedStackProfile prof = profileTrace(fix().out.trace, lay, 32);
     std::vector<uint64_t> empty;
     EXPECT_DEATH(firstWorkingSet(prof, empty), "empty size sweep");
 }

@@ -94,9 +94,9 @@ TEST(HilbertOrder, ShrinksSmallCacheMissRateOnBigQuad)
     p.kind = LayoutKind::Blocked;
     p.blockW = p.blockH = 4;
     SceneLayout layout(scene, p);
-    StackDistProfiler scan_prof = profileTrace(scan_out.trace, layout,
+    ShardedStackProfile scan_prof = profileTrace(scan_out.trace, layout,
                                                64);
-    StackDistProfiler hil_prof = profileTrace(hil_out.trace, layout,
+    ShardedStackProfile hil_prof = profileTrace(hil_out.trace, layout,
                                               64);
     EXPECT_EQ(scan_prof.coldMisses(), hil_prof.coldMisses());
     EXPECT_LT(hil_prof.missRate(2048),

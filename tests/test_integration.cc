@@ -62,7 +62,7 @@ TEST(Integration, PaperHeadlineWorkingSetBand)
     LayoutParams p;
     p.kind = LayoutKind::Nonblocked;
     SceneLayout layout(fix().scene, p);
-    StackDistProfiler prof = profileTrace(fix().out.trace, layout, 32);
+    ShardedStackProfile prof = profileTrace(fix().out.trace, layout, 32);
     EXPECT_LE(prof.missRate(32 * 1024),
               prof.missRate(512 * 1024) * 2.0);
 }

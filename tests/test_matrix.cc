@@ -140,7 +140,7 @@ TEST(LayoutOrderMatrix, UniqueTexelFloorIsLayoutInvariant)
         SceneLayout layout(fix().scene, p);
         // 4-byte lines = exactly one texel per line: cold misses ==
         // unique texels, whatever the arrangement.
-        StackDistProfiler prof = profileTrace(out.trace, layout, 4);
+        ShardedStackProfile prof = profileTrace(out.trace, layout, 4);
         if (ref == 0)
             ref = prof.coldMisses();
         EXPECT_EQ(prof.coldMisses(), ref) << layoutKindName(k);

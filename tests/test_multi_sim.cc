@@ -1,20 +1,22 @@
 /** @file
- * Correctness of the single-pass multi-configuration simulators
- * (cache/multi_sim.hh) against brute-force per-config CacheSim
- * replays: the sweep engine must be an optimization, never an
- * approximation. Covers synthetic random streams, the adversarial
- * stack patterns for the profiler's top-of-stack fast path, and the
- * four real benchmark scenes end to end through runFaSweep /
- * runCacheSweep.
+ * Correctness of the single-pass multi-configuration collapses
+ * against brute-force per-config CacheSim replays: a sweep pass must
+ * be an optimization, never an approximation. Covers the Mattson
+ * capacity collapse on synthetic random streams and on the
+ * adversarial stack patterns for the profiler's top-of-stack fast
+ * path, and the four real benchmark scenes end to end through
+ * runFaSweep / runCacheSweep against the plain simulators of
+ * tests/oracle.hh.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "cache/multi_sim.hh"
+#include "cache/stack_dist.hh"
 #include "core/experiment.hh"
 #include "core/scene_layout.hh"
+#include "oracle.hh"
 
 using namespace texcache;
 
@@ -49,6 +51,26 @@ bruteForce(const std::vector<Addr> &stream, const CacheConfig &config)
     return sim.stats();
 }
 
+/** Fully associative stats at every size in @p sizes from one
+ *  stack-distance pass over @p stream (the Mattson collapse). */
+std::vector<CacheStats>
+collapsed(const std::vector<Addr> &stream, unsigned line,
+          const std::vector<uint64_t> &sizes)
+{
+    StackDistProfiler prof(line);
+    for (Addr a : stream)
+        prof.access(a);
+    std::vector<CacheStats> out;
+    for (uint64_t size : sizes) {
+        CacheStats s;
+        s.accesses = prof.accesses();
+        s.misses = prof.misses(size);
+        s.coldMisses = prof.coldMisses();
+        out.push_back(s);
+    }
+    return out;
+}
+
 void
 expectSame(const CacheStats &got, const CacheStats &want,
            const std::string &what)
@@ -58,19 +80,27 @@ expectSame(const CacheStats &got, const CacheStats &want,
     EXPECT_EQ(got.coldMisses, want.coldMisses) << what;
 }
 
+/** expectSame plus the eviction count, which every runner reports
+ *  as CacheSim counts it. */
+void
+expectIdentical(const CacheStats &got, const CacheStats &want,
+                const std::string &what)
+{
+    expectSame(got, want, what);
+    EXPECT_EQ(got.evictions, want.evictions) << what;
+}
+
 const std::vector<uint64_t> kSizes = {2 << 10, 8 << 10, 32 << 10,
                                       128 << 10};
 const unsigned kLines[] = {32, 128};
 
 } // namespace
 
-TEST(FaCapacitySweep, MatchesBruteForceOnRandomStream)
+TEST(CapacityCollapse, MatchesBruteForceOnRandomStream)
 {
     std::vector<Addr> stream = syntheticStream(200000, 7);
     for (unsigned line : kLines) {
-        FaCapacitySweep sweep(line, kSizes);
-        sweep.accessRange(stream.data(), stream.size());
-        std::vector<CacheStats> got = sweep.stats();
+        std::vector<CacheStats> got = collapsed(stream, line, kSizes);
         ASSERT_EQ(got.size(), kSizes.size());
         for (size_t i = 0; i < kSizes.size(); ++i) {
             CacheStats want = bruteForce(
@@ -82,13 +112,11 @@ TEST(FaCapacitySweep, MatchesBruteForceOnRandomStream)
     }
 }
 
-TEST(FaCapacitySweep, HandlesUnsortedSizesAndTinyCaches)
+TEST(CapacityCollapse, HandlesUnsortedSizesAndTinyCaches)
 {
     std::vector<Addr> stream = syntheticStream(50000, 99);
     std::vector<uint64_t> sizes = {64 << 10, 1 << 10, 4 << 10, 256};
-    FaCapacitySweep sweep(64, sizes);
-    sweep.accessRange(stream.data(), stream.size());
-    std::vector<CacheStats> got = sweep.stats();
+    std::vector<CacheStats> got = collapsed(stream, 64, sizes);
     for (size_t i = 0; i < sizes.size(); ++i) {
         CacheStats want =
             bruteForce(stream, {sizes[i], 64, CacheConfig::kFullyAssoc});
@@ -100,7 +128,7 @@ TEST(FaCapacitySweep, HandlesUnsortedSizesAndTinyCaches)
 // cycles that live entirely inside the array, cycles one longer than
 // it, and interleavings that repeatedly promote deep lines across the
 // array boundary.
-TEST(FaCapacitySweep, StackFastPathBoundaryPatterns)
+TEST(CapacityCollapse, StackFastPathBoundaryPatterns)
 {
     std::vector<std::vector<Addr>> streams;
     for (size_t cycle : {2u, 4u, 8u, 9u, 16u}) {
@@ -123,9 +151,7 @@ TEST(FaCapacitySweep, StackFastPathBoundaryPatterns)
     }
     std::vector<uint64_t> sizes = {256, 512, 1024, 4096};
     for (size_t k = 0; k < streams.size(); ++k) {
-        FaCapacitySweep sweep(64, sizes);
-        sweep.accessRange(streams[k].data(), streams[k].size());
-        std::vector<CacheStats> got = sweep.stats();
+        std::vector<CacheStats> got = collapsed(streams[k], 64, sizes);
         for (size_t i = 0; i < sizes.size(); ++i) {
             CacheStats want = bruteForce(
                 streams[k], {sizes[i], 64, CacheConfig::kFullyAssoc});
@@ -136,29 +162,11 @@ TEST(FaCapacitySweep, StackFastPathBoundaryPatterns)
     }
 }
 
-TEST(GroupSim, MatchesIndividualSims)
-{
-    std::vector<Addr> stream = syntheticStream(100000, 21);
-    std::vector<CacheConfig> configs = {
-        {16 << 10, 64, 1},
-        {16 << 10, 64, 2},
-        {16 << 10, 64, 4},
-        {16 << 10, 64, CacheConfig::kFullyAssoc},
-    };
-    GroupSim group(configs);
-    group.accessRange(stream.data(), stream.size());
-    std::vector<CacheStats> got = group.stats();
-    ASSERT_EQ(got.size(), configs.size());
-    for (size_t i = 0; i < configs.size(); ++i)
-        expectSame(got[i], bruteForce(stream, configs[i]),
-                   configs[i].str());
-}
-
 // The end-to-end contract on the real workloads: for every benchmark
-// scene, the collapsed sweep reproduces per-config runCache replays
+// scene, the collapsed sweep reproduces per-config CacheSim replays
 // exactly - at three capacities and two line sizes, through the real
 // trace -> layout mapping.
-TEST(RunFaSweep, MatchesRunCacheOnAllFourScenes)
+TEST(RunFaSweep, MatchesPlainReplaysOnAllFourScenes)
 {
     TraceStore store;
     std::vector<uint64_t> sizes = {4 << 10, 16 << 10, 64 << 10};
@@ -174,10 +182,10 @@ TEST(RunFaSweep, MatchesRunCacheOnAllFourScenes)
                 runFaSweep(trace, layout, line, sizes);
             ASSERT_EQ(got.size(), sizes.size());
             for (size_t i = 0; i < sizes.size(); ++i) {
-                CacheStats want = runCache(
+                CacheStats want = oracle::run(
                     trace, layout,
                     {sizes[i], line, CacheConfig::kFullyAssoc});
-                expectSame(got[i], want,
+                expectIdentical(got[i], want,
                            std::string(benchSceneName(s)) + " line=" +
                                std::to_string(line) +
                                " size=" + std::to_string(sizes[i]));
@@ -188,8 +196,8 @@ TEST(RunFaSweep, MatchesRunCacheOnAllFourScenes)
 
 // runCacheSweep routes a mixed FA + set-associative config list
 // through the fewest passes; the result must align with the input
-// order and match per-config replays bit for bit.
-TEST(RunCacheSweep, MixedConfigListMatchesPerConfigReplays)
+// order and match plain per-config replays bit for bit.
+TEST(RunCacheSweep, MixedConfigListMatchesPlainReplays)
 {
     TraceStore store;
     RasterOrder order;
@@ -212,6 +220,6 @@ TEST(RunCacheSweep, MixedConfigListMatchesPerConfigReplays)
     std::vector<CacheStats> got = runCacheSweep(trace, layout, configs);
     ASSERT_EQ(got.size(), configs.size());
     for (size_t i = 0; i < configs.size(); ++i)
-        expectSame(got[i], runCache(trace, layout, configs[i]),
-                   configs[i].str());
+        expectIdentical(got[i], oracle::run(trace, layout, configs[i]),
+                        configs[i].str());
 }

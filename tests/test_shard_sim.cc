@@ -1,10 +1,10 @@
 /**
  * @file
- * Exactness tests for the sharded replay engine: set-partitioned
- * CacheSim shards and time-partitioned stack-distance passes must
- * merge to byte-identical statistics against the serial simulators,
- * for every organization and shard count - that is the whole contract
- * (cache/shard_sim.hh, core/shard_replay.hh).
+ * Exactness tests for the replay engine: set-partitioned CacheSim
+ * shards and time-partitioned stack-distance passes must merge to
+ * byte-identical statistics against the plain per-address simulators
+ * of tests/oracle.hh, for every organization and shard count - that
+ * is the whole contract (cache/shard_sim.hh, core/shard_replay.hh).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,8 @@
 #include "core/experiment.hh"
 #include "core/scene_layout.hh"
 #include "core/shard_replay.hh"
+#include "core/sweep.hh"
+#include "oracle.hh"
 #include "thread_env.hh"
 #include "trace/chunked_trace.hh"
 #include "trace/trace_source.hh"
@@ -368,26 +370,28 @@ testConfigs()
 
 } // namespace
 
-TEST(ShardReplay, SweepAndGroupMatchSerial)
+TEST(ShardReplay, SweepMatchesOracleAtEveryShardAndThreadCount)
 {
     Fixture &f = fix();
     std::vector<CacheConfig> configs = testConfigs();
-    std::vector<CacheStats> sweepSerial =
-        runCacheSweep(f.trace, f.layout, configs);
-    std::vector<CacheStats> groupSerial =
-        runCacheGroup(f.trace, f.layout, configs);
+    std::vector<CacheStats> want = oracle::sweep(f.trace, f.layout, configs);
 
     MemoryTraceSource mem(f.trace);
-    for (unsigned shards : {1u, 2u, 4u, 8u}) {
-        std::vector<CacheStats> sweep =
-            runCacheSweepSharded(mem, f.layout, configs, shards);
-        std::vector<CacheStats> group =
-            runCacheGroupSharded(mem, f.layout, configs, shards);
-        for (size_t i = 0; i < configs.size(); ++i) {
-            expectStatsEq(sweep[i], sweepSerial[i],
-                          "sweep " + configs[i].str());
-            expectStatsEq(group[i], groupSerial[i],
-                          "group " + configs[i].str());
+    for (const char *threads : {"1", "8"}) {
+        ThreadEnv env(threads);
+        std::vector<CacheStats> derived =
+            runCacheSweep(f.trace, f.layout, configs);
+        for (size_t i = 0; i < configs.size(); ++i)
+            expectStatsEq(derived[i], want[i],
+                          "derived " + configs[i].str() + " @" + threads);
+        for (unsigned shards : {1u, 2u, 3u, 5u, 8u}) {
+            std::vector<CacheStats> got =
+                runCacheSweepSharded(mem, f.layout, configs, shards);
+            for (size_t i = 0; i < configs.size(); ++i)
+                expectStatsEq(got[i], want[i],
+                              configs[i].str() + " @" +
+                                  std::to_string(shards) + " shards, " +
+                                  threads + " threads");
         }
     }
 }
@@ -415,9 +419,9 @@ TEST(ShardReplay, SetPassMatchesSerialAtEveryShardAndThreadCount)
     for (uint64_t i = 0; i < frames; ++i)
         many.appendPacked(f.trace.packed().data(), f.trace.size());
     std::vector<CacheStats> serialOne =
-        runCacheGroup(f.trace, f.layout, configs);
+        oracle::sweep(f.trace, f.layout, configs);
     std::vector<CacheStats> serialMany =
-        runCacheGroup(many, f.layout, configs);
+        oracle::sweep(many, f.layout, configs);
 
     std::string dir = ::testing::TempDir() + "texcache-set-pass";
     std::filesystem::create_directories(dir);
@@ -431,9 +435,9 @@ TEST(ShardReplay, SetPassMatchesSerialAtEveryShardAndThreadCount)
             std::string at = " @" + std::to_string(shards) + " shards, " +
                              threads + " threads";
             std::vector<CacheStats> gotOne =
-                runCacheGroupSharded(one, f.layout, configs, shards);
+                runCacheSweepSharded(one, f.layout, configs, shards);
             std::vector<CacheStats> gotMany =
-                runCacheGroupSharded(file, f.layout, configs, shards);
+                runCacheSweepSharded(file, f.layout, configs, shards);
             for (size_t i = 0; i < configs.size(); ++i) {
                 expectStatsEq(gotOne[i], serialOne[i],
                               "memory " + configs[i].str() + at);
@@ -450,37 +454,45 @@ TEST(ShardReplay, SingleReplayDerivesFaEvictions)
     Fixture &f = fix();
     MemoryTraceSource mem(f.trace);
     // The FA single-replay path goes through the stack profiler and
-    // *derives* evictions; serial runCache counts them in an explicit
-    // FA LRU cache. They must agree - including the eviction count.
+    // *derives* evictions; the plain CacheSim counts them in an
+    // explicit FA LRU cache. They must agree - including the eviction
+    // count.
     CacheConfig fa{8 << 10, 32, CacheConfig::kFullyAssoc};
-    CacheStats serial = runCache(f.trace, f.layout, fa);
+    CacheStats serial = oracle::run(f.trace, f.layout, fa);
     ASSERT_GT(serial.evictions, 0u);
     expectStatsEq(runCacheSharded(mem, f.layout, fa, 4), serial,
                   "fa single");
+    expectStatsEq(runCache(f.trace, f.layout, fa), serial, "fa derived");
     CacheConfig sa{16 << 10, 32, 2};
     expectStatsEq(runCacheSharded(mem, f.layout, sa, 4),
-                  runCache(f.trace, f.layout, sa), "sa single");
+                  oracle::run(f.trace, f.layout, sa), "sa single");
 }
 
 TEST(ShardReplay, ClassificationMatchesSerial)
 {
     Fixture &f = fix();
     MemoryTraceSource mem(f.trace);
-    CacheConfig c{16 << 10, 32, 2};
-    MissBreakdown want = classifyCache(f.trace, f.layout, c);
-    MissBreakdown got = classifySharded(mem, f.layout, c, 4);
-    EXPECT_EQ(got.accesses, want.accesses);
-    EXPECT_EQ(got.misses, want.misses);
-    EXPECT_EQ(got.cold, want.cold);
-    EXPECT_EQ(got.capacity, want.capacity);
-    EXPECT_EQ(got.conflict, want.conflict);
+    for (CacheConfig c : {CacheConfig{16 << 10, 32, 2},
+                          CacheConfig{8 << 10, 32, 1},
+                          CacheConfig{8 << 10, 64, CacheConfig::kFullyAssoc}}) {
+        MissBreakdown want = oracle::classify(f.trace, f.layout, c);
+        for (unsigned shards : {0u, 1u, 4u}) {
+            MissBreakdown got = classifySharded(mem, f.layout, c, shards);
+            std::string at = c.str() + " @" + std::to_string(shards);
+            EXPECT_EQ(got.accesses, want.accesses) << at;
+            EXPECT_EQ(got.misses, want.misses) << at;
+            EXPECT_EQ(got.cold, want.cold) << at;
+            EXPECT_EQ(got.capacity, want.capacity) << at;
+            EXPECT_EQ(got.conflict, want.conflict) << at;
+        }
+    }
 }
 
 TEST(ShardReplay, ProfileMatchesSerialAtAllSizes)
 {
     Fixture &f = fix();
     MemoryTraceSource mem(f.trace);
-    StackDistProfiler serial = profileTrace(f.trace, f.layout, 32);
+    StackDistProfiler serial = oracle::profile(f.trace, f.layout, 32);
     ShardedStackProfile merged =
         profileTraceSharded(mem, f.layout, 32, 4);
     EXPECT_EQ(merged.accesses, serial.accesses());
@@ -497,15 +509,17 @@ TEST(ShardReplay, FaSweepMatchesProfiler)
     std::vector<uint64_t> sizes = cacheSizeSweep(4 << 10, 256 << 10);
     std::vector<CacheStats> sharded =
         runFaSweepSharded(mem, f.layout, 32, sizes, 3);
-    StackDistProfiler serial = profileTrace(f.trace, f.layout, 32);
+    StackDistProfiler serial = oracle::profile(f.trace, f.layout, 32);
     ASSERT_EQ(sharded.size(), sizes.size());
     for (size_t i = 0; i < sizes.size(); ++i) {
         EXPECT_EQ(sharded[i].accesses, serial.accesses());
-        EXPECT_EQ(sharded[i].misses, serial.misses(sizes[i]));
+        uint64_t misses = serial.misses(sizes[i]);
+        EXPECT_EQ(sharded[i].misses, misses);
         EXPECT_EQ(sharded[i].coldMisses, serial.coldMisses());
-        // The collapsed sweep does not model evictions (multi_sim's
-        // FaCapacitySweep contract) - sharded must match that too.
-        EXPECT_EQ(sharded[i].evictions, 0u);
+        // A capacity sweep reports evictions as every runner does:
+        // what a flush-free FA LRU cache of that size counts.
+        EXPECT_EQ(sharded[i].evictions,
+                  misses - std::min<uint64_t>(sizes[i] / 32, misses));
     }
 }
 
@@ -526,9 +540,9 @@ TEST(ShardReplay, FileSourceMatchesMemorySource)
     MemoryTraceSource mem(f.trace);
     std::vector<CacheConfig> configs = testConfigs();
     std::vector<CacheStats> fromFile =
-        runCacheGroupSharded(file, f.layout, configs, 3);
+        runCacheSweepSharded(file, f.layout, configs, 3);
     std::vector<CacheStats> fromMem =
-        runCacheGroupSharded(mem, f.layout, configs, 3);
+        runCacheSweepSharded(mem, f.layout, configs, 3);
     for (size_t i = 0; i < configs.size(); ++i)
         expectStatsEq(fromFile[i], fromMem[i], configs[i].str());
     std::filesystem::remove_all(dir);
@@ -546,14 +560,14 @@ TEST(ShardReplay, FrameReplicationMatchesConcatenation)
     EXPECT_EQ(replicated.records(), three.size());
     std::vector<CacheConfig> configs = testConfigs();
     std::vector<CacheStats> serial =
-        runCacheGroup(three, f.layout, configs);
+        oracle::sweep(three, f.layout, configs);
     std::vector<CacheStats> sharded =
-        runCacheGroupSharded(replicated, f.layout, configs, 4);
+        runCacheSweepSharded(replicated, f.layout, configs, 4);
     for (size_t i = 0; i < configs.size(); ++i)
         expectStatsEq(sharded[i], serial[i], configs[i].str());
 
     // And the FA profile over the replicated stream.
-    StackDistProfiler serialProf = profileTrace(three, f.layout, 32);
+    StackDistProfiler serialProf = oracle::profile(three, f.layout, 32);
     ShardedStackProfile prof =
         profileTraceSharded(replicated, f.layout, 32, 4);
     EXPECT_EQ(prof.accesses, serialProf.accesses());
@@ -562,8 +576,23 @@ TEST(ShardReplay, FrameReplicationMatchesConcatenation)
         EXPECT_EQ(prof.misses(size), serialProf.misses(size));
 }
 
-TEST(ShardReplay, ResolveShardsDefaultsToThreadCount)
+TEST(ShardReplay, ResolveShardsDerivesFromStreamLength)
 {
-    EXPECT_EQ(resolveShards(0), Sweep::threadCount());
-    EXPECT_EQ(resolveShards(5), 5u);
+    // One shard per 2^18 records, at least one, at most the pool.
+    for (const char *threads : {"1", "4", "8"}) {
+        ThreadEnv env(threads);
+        unsigned pool = Sweep::threadCount();
+        for (uint64_t records : {0ull, 1ull, 44944ull, (1ull << 19) - 1})
+            EXPECT_EQ(resolveShards(0, records), 1u) << records;
+        for (uint64_t records :
+             {1ull << 19, 3ull << 18, 1ull << 20, 7900000ull, 1ull << 34}) {
+            unsigned got = resolveShards(0, records);
+            EXPECT_LE(got, pool) << records;
+            EXPECT_EQ(got, std::min<uint64_t>(records >> 18, pool))
+                << records;
+        }
+        // Explicit counts pass through, whatever the stream or pool.
+        for (unsigned shards : {1u, 3u, 5u, 64u})
+            EXPECT_EQ(resolveShards(shards, 100), shards);
+    }
 }

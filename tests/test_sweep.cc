@@ -1,15 +1,20 @@
 /** @file
  * The sweep runner's contract (core/sweep.hh): parallel execution
  * returns results bit-identical to serial execution and in identical
- * (point) order, regardless of thread count, load skew, or which
- * worker stole what; exceptions propagate; per-point wall-clock is
- * captured.
+ * (point) order, regardless of thread count, load skew, nesting, or
+ * which worker ran what; exceptions propagate; per-point wall-clock is
+ * captured; the pool never runs points on more than threadCount()
+ * threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +41,39 @@ skewedWork(size_t i)
         h *= 1099511628211ull;
     }
     return h;
+}
+
+/** A point whose value folds in a nested sweep @p depth levels deep;
+ *  every point at every level notes its thread in @p seen. */
+uint64_t
+nestedWork(size_t i, unsigned depth, std::set<std::thread::id> *seen,
+           std::mutex *mu)
+{
+    if (seen) {
+        std::lock_guard<std::mutex> g(*mu);
+        seen->insert(std::this_thread::get_id());
+    }
+    uint64_t h = skewedWork(i);
+    if (!depth)
+        return h;
+    std::vector<size_t> inner(5 + i % 4);
+    std::iota(inner.begin(), inner.end(), i * 16);
+    for (const auto &r : Sweep::run(inner, [&](size_t k) {
+             return nestedWork(k, depth - 1, seen, mu);
+         }))
+        h = h * 1099511628211ull ^ r.value;
+    return h;
+}
+
+/** Threads of this process, from /proc/self/task. */
+size_t
+processThreads()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
 }
 
 } // namespace
@@ -195,4 +233,101 @@ TEST(Sweep, PropagatesExceptions)
                                 return static_cast<int>(i);
                             }),
                  std::runtime_error);
+}
+
+TEST(Sweep, NestedRunsThreeDeepMatchSerialInOrder)
+{
+    std::vector<size_t> points(12);
+    std::iota(points.begin(), points.end(), 0);
+    auto nested = [](size_t i) { return nestedWork(i, 2, nullptr, nullptr); };
+    std::vector<uint64_t> serial;
+    {
+        ThreadEnv env("1");
+        for (const auto &r : Sweep::run(points, nested))
+            serial.push_back(r.value);
+    }
+    for (const char *threads : {"4", "8"}) {
+        ThreadEnv env(threads);
+        auto par = Sweep::run(points, nested);
+        ASSERT_EQ(par.size(), serial.size()) << threads << " threads";
+        for (size_t i = 0; i < serial.size(); ++i)
+            EXPECT_EQ(par[i].value, serial[i])
+                << threads << " threads, point " << i;
+    }
+}
+
+TEST(Sweep, PointsRunOnAtMostThreadCountThreads)
+{
+    // Nested runs hand their points to the same workers: however
+    // deep the nesting and however many runs, no more than
+    // threadCount() distinct threads ever run a point.
+    for (const char *threads : {"4", "2"}) {
+        ThreadEnv env(threads);
+        std::set<std::thread::id> seen;
+        std::mutex mu;
+        std::vector<size_t> points(8);
+        std::iota(points.begin(), points.end(), 0);
+        for (int rep = 0; rep < 3; ++rep)
+            Sweep::run(points,
+                       [&](size_t i) { return nestedWork(i, 2, &seen, &mu); });
+        EXPECT_LE(seen.size(), Sweep::threadCount()) << threads;
+        EXPECT_GE(seen.size(), 1u);
+    }
+}
+
+TEST(Sweep, NestedExceptionReachesTopLevelCaller)
+{
+    ThreadEnv env("4");
+    std::vector<size_t> points(16);
+    std::iota(points.begin(), points.end(), 0);
+    auto throwing = [](size_t i) -> uint64_t {
+        std::vector<size_t> inner(8);
+        std::iota(inner.begin(), inner.end(), 0);
+        uint64_t h = 0;
+        for (const auto &r : Sweep::run(inner, [&](size_t k) -> uint64_t {
+                 if (i == 5 && k == 3)
+                     throw std::runtime_error("nested point");
+                 return skewedWork(k);
+             }))
+            h ^= r.value;
+        return h;
+    };
+    EXPECT_THROW(Sweep::run(points, throwing), std::runtime_error);
+
+    // The pool is intact: the next (nested) run completes in full.
+    auto again = Sweep::run(points, [](size_t i) {
+        return nestedWork(i, 1, nullptr, nullptr);
+    });
+    ASSERT_EQ(again.size(), points.size());
+    for (size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(again[i].value, nestedWork(i, 1, nullptr, nullptr));
+}
+
+TEST(Sweep, RunStatsAfterNestedRunsDescribeTheTopLevelRun)
+{
+    ThreadEnv env("4");
+    std::vector<size_t> points(6);
+    std::iota(points.begin(), points.end(), 0);
+    Sweep::run(points,
+               [](size_t i) { return nestedWork(i, 2, nullptr, nullptr); });
+    SweepRunStats s = Sweep::lastRunStats();
+    EXPECT_EQ(s.points, 6u);
+    EXPECT_EQ(s.threads, 4u);
+    EXPECT_GT(s.utilization(), 0.0);
+    EXPECT_LE(s.utilization(), 1.0);
+}
+
+TEST(Sweep, SingleThreadRunStartsNoThread)
+{
+    ThreadEnv env("1");
+    size_t before = processThreads();
+    std::vector<size_t> points(64);
+    std::iota(points.begin(), points.end(), 0);
+    std::set<std::thread::id> seen;
+    std::mutex mu;
+    Sweep::run(points,
+               [&](size_t i) { return nestedWork(i, 1, &seen, &mu); });
+    EXPECT_EQ(processThreads(), before);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(*seen.begin(), std::this_thread::get_id());
 }

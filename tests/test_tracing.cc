@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <set>
 #include <sstream>
 
 #include "cache/cache_sim.hh"
@@ -18,6 +20,7 @@
 #include "cache/three_c.hh"
 #include "core/experiment.hh"
 #include "core/sweep.hh"
+#include "thread_env.hh"
 #include "timing/dram_model.hh"
 #include "tracing/tracing.hh"
 #include "vt/fetch_queue.hh"
@@ -316,6 +319,77 @@ TEST(Tracing, SweepEmitsRunAndPointSpans)
     // Begin/end counts balance.
     EXPECT_EQ(begins.size(),
               eventsOfKind(evs, EventKind::SpanEnd).size());
+}
+
+TEST(Tracing, NestedSweepsRecordOnOneRingPerPoolThread)
+{
+    // Every thread that records gets a ring of its own; the pool's
+    // workers are started once, so however many nested sweeps run,
+    // their point spans sit on at most threadCount() rings.
+    TracerGuard guard(kSpans, 1, 1 << 20);
+    ThreadEnv env("4");
+    std::vector<int> outer(4), inner(5);
+    std::iota(outer.begin(), outer.end(), 0);
+    std::iota(inner.begin(), inner.end(), 0);
+    for (int rep = 0; rep < 50; ++rep)
+        Sweep::run(outer, [&](int o) {
+            int sum = 0;
+            for (const auto &r : Sweep::run(inner, [&](int i) {
+                     return o * i;
+                 }))
+                sum += r.value;
+            return sum;
+        });
+
+    std::stringstream ss;
+    writeEventLog(ss);
+    EventLog log;
+    std::string err;
+    ASSERT_TRUE(readEventLog(ss, log, err)) << err;
+    uint16_t point_id = nameId("sweep.point");
+    std::set<uint32_t> tids;
+    uint64_t points = 0;
+    for (const tracing::RingData &ring : log.rings)
+        for (const Event &ev : ring.events)
+            if (ev.kind == uint8_t(EventKind::SpanBegin) &&
+                ev.a == point_id) {
+                tids.insert(ring.tid);
+                ++points;
+            }
+    EXPECT_EQ(points, 50u * (4 + 4 * 5));
+    EXPECT_LE(tids.size(), 4u);
+}
+
+TEST(Tracing, SweepPassesEmitSimStageSpans)
+{
+    // One set pass for every set-associative config, one stack pass
+    // per fully associative line size.
+    TracerGuard guard(kSpans);
+    TraceStore store;
+    SceneSpec quad = SceneSpec::quadScene(64, 128);
+    const TexelTrace &trace = store.trace(quad, RasterOrder::horizontal());
+    LayoutParams p;
+    p.kind = LayoutKind::Nonblocked;
+    SceneLayout layout(store.scene(quad), p);
+    configure({kSpans, 1, 1 << 16});
+    runCacheSweep(trace, layout,
+                  {{4 << 10, 32, 1},
+                   {8 << 10, 64, 2},
+                   {4 << 10, 32, CacheConfig::kFullyAssoc},
+                   {16 << 10, 64, CacheConfig::kFullyAssoc},
+                   {8 << 10, 32, CacheConfig::kFullyAssoc}});
+
+    uint16_t sa = nameId("sim.sa"), fa = nameId("sim.fa");
+    size_t sa_spans = 0, fa_spans = 0;
+    std::vector<Event> evs = snapshotEvents();
+    for (const Event &ev : eventsOfKind(evs, EventKind::SpanBegin)) {
+        sa_spans += ev.a == sa;
+        fa_spans += ev.a == fa;
+    }
+    EXPECT_EQ(sa_spans, 1u);
+    EXPECT_EQ(fa_spans, 2u);
+    EXPECT_EQ(eventsOfKind(evs, EventKind::SpanEnd).size(),
+              eventsOfKind(evs, EventKind::SpanBegin).size());
 }
 
 TEST(Tracing, SceneBuildEmitsOneSpanPerBuild)
