@@ -122,7 +122,8 @@ CacheSim::access(Addr addr)
 void
 CacheSim::accessRange(const Addr *a, size_t n)
 {
-    if (fa_ || tracing::enabled(tracing::kMisses | tracing::kTexels)) {
+    if (fa_ || (traceTag_ != tracing::kTagSilent &&
+                tracing::enabled(tracing::kMisses | tracing::kTexels))) {
         for (size_t i = 0; i < n; ++i)
             access(a[i]);
         return;

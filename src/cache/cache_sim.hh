@@ -104,7 +104,8 @@ class CacheSim
      * delegation and the miss/texel trace gate are checked once per
      * range; when either holds the range falls back to access() per
      * address (so trace events are unchanged), otherwise the LRU scan
-     * runs inline with the counters kept in locals.
+     * runs inline with the counters kept in locals. A kTagSilent sim
+     * records nothing, so it skips the trace gate.
      */
     void accessRange(const Addr *a, size_t n);
 

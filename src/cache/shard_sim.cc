@@ -63,12 +63,15 @@ SetShardSim::SetShardSim(const std::vector<CacheConfig> &configs,
                          return key(a) < key(b);
                      });
 
-    // Shard replays run many sims of the same organization; the
-    // per-access trace stream would interleave nonsensically.
+    // At one shard every sim replays the whole stream in order and
+    // records its events as a lone cache does. Split shards run many
+    // sims of the same organization, each on its own sets; their
+    // per-access events would interleave nonsensically.
     sims_.reserve(plan.size());
     for (const Plan &p : plan) {
         Member m{CacheSim(configs[p.config]), p.config, p.lineKey, p.shard};
-        m.sim.setTraceTag(tracing::kTagSilent);
+        if (shards > 1)
+            m.sim.setTraceTag(tracing::kTagSilent);
         sims_.push_back(std::move(m));
     }
 }

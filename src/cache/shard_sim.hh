@@ -85,7 +85,9 @@ class SetShardSim
         std::vector<size_t> start;
     };
 
-    /** @p shards >= 1; shard count and thread count are independent. */
+    /** @p shards >= 1; shard count and thread count are independent.
+     *  At one shard the sims record trace events as lone caches; at
+     *  more they are silent. */
     SetShardSim(const std::vector<CacheConfig> &configs, unsigned shards);
 
     /** Fill @p span.byKey and @p span.start from @p span.addrs.

@@ -10,7 +10,9 @@
  * forward to the replay engine (core/shard_replay.hh) over a
  * MemoryTraceSource, with the shard count derived from the trace, so
  * a paper trace is sharded across the sweep pool; their results equal
- * the plain per-address simulators' (tests/oracle.hh).
+ * the plain per-address simulators' (tests/oracle.hh). Under miss or
+ * texel tracing they replay in stream order and record their misses
+ * (see core/shard_replay.hh).
  */
 
 #ifndef TEXCACHE_CORE_EXPERIMENT_HH

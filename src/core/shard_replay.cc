@@ -7,7 +7,6 @@
 #include <numeric>
 #include <utility>
 
-#include "common/bits.hh"
 #include "common/logging.hh"
 #include "core/sweep.hh"
 #include "perf/perf_counters.hh"
@@ -18,11 +17,24 @@ namespace texcache {
 /** Records per shard in one window of the set-partitioned pass. */
 constexpr unsigned kWindowShift = 18;
 
+namespace {
+
+/** Miss or texel tracing is armed: cache simulators record events. */
+bool
+traced()
+{
+    return tracing::enabled(tracing::kMisses | tracing::kTexels);
+}
+
+} // namespace
+
 unsigned
 resolveShards(unsigned shards, uint64_t records)
 {
     if (shards)
         return shards;
+    if (traced())
+        return 1;
     return static_cast<unsigned>(std::clamp<uint64_t>(
         records >> kWindowShift, 1, Sweep::threadCount()));
 }
@@ -53,17 +65,6 @@ stackPass(const TraceSource &src, const SceneLayout &layout,
     tracing::ScopedSpan span(kSpan, line_bytes);
     perf::addSimulatedAccesses(src.records());
     unsigned segs = segmentCount(src, shards);
-    if (segs == 1) {
-        // One segment is the whole stream: nothing to reconcile.
-        StackDistProfiler prof(line_bytes);
-        replaySegment(src, layout, 0, src.chunkCount(),
-                      [&](const Addr *a, size_t n) {
-                          for (size_t i = 0; i < n; ++i)
-                              prof.access(a[i]);
-                      });
-        return {log2Exact(line_bytes), prof.accesses(),
-                prof.coldMisses(), prof.histogram()};
-    }
     std::vector<unsigned> ids(segs);
     std::iota(ids.begin(), ids.end(), 0u);
     auto results = Sweep::run(ids, [&](unsigned seg) {
@@ -175,6 +176,10 @@ CacheStats
 runCacheSharded(const TraceSource &src, const SceneLayout &layout,
                 const CacheConfig &config, unsigned shards)
 {
+    // Traced, one configuration is one CacheSim replaying the stream
+    // in order, fully associative too, so it records its misses.
+    if (traced())
+        return setPass(src, layout, {config}, 1)[0];
     return runCacheSweepSharded(src, layout, {config}, shards)[0];
 }
 
@@ -182,6 +187,20 @@ MissBreakdown
 classifySharded(const TraceSource &src, const SceneLayout &layout,
                 const CacheConfig &config, unsigned shards)
 {
+    // Traced, each miss is recorded with its cold, capacity or
+    // conflict class, which takes the FA twin's verdict on that very
+    // access: one MissClassifier replays the stream in order.
+    if (traced()) {
+        MissClassifier cls(config);
+        perf::addSimulatedAccesses(src.records());
+        replaySegment(src, layout, 0, src.chunkCount(),
+                      [&](const Addr *a, size_t n) {
+                          for (size_t i = 0; i < n; ++i)
+                              cls.access(a[i]);
+                      });
+        return cls.breakdown();
+    }
+
     // The configuration and its FA twin in one call: a set pass and a
     // stack pass, or for an FA configuration one stack pass for both.
     CacheConfig twin{config.sizeBytes, config.lineBytes,

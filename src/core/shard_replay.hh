@@ -28,6 +28,12 @@
  * side by side as tasks of one fork-join; when it fills the pool they
  * run in turn.
  *
+ * Under miss or texel tracing a call replays in stream order so its
+ * simulators record their events: the default shard count is one,
+ * runCacheSharded replays one CacheSim (fully associative ones too)
+ * and classifySharded one MissClassifier. Split set shards, at an
+ * explicit count above one, stay silent; stack passes record none.
+ *
  * All runners return statistics bit-identical to the plain
  * per-address simulators for every shard count (the decompositions
  * are exact, not approximate; tests/oracle.hh holds those simulators),
@@ -61,6 +67,7 @@ namespace texcache {
  * one shard per 2^18 records (a set-pass window's share per shard),
  * at least 1 and at most Sweep::threadCount(). A paper trace takes
  * every worker; a short stream such as a texcached pass takes one.
+ * Under miss or texel tracing the default is one.
  */
 unsigned resolveShards(unsigned shards, uint64_t records);
 

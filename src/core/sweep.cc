@@ -1,5 +1,6 @@
 #include "core/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -56,7 +57,7 @@ SweepRunStats lastStats;
 /**
  * One pooled Sweep::run in flight. It lives on its caller's stack;
  * every thread that runs its points claims them off one shared
- * counter, lowest index first.
+ * counter, lowest index first, in blocks (claim()).
  */
 struct Job
 {
@@ -83,6 +84,26 @@ struct Job
     unsigned helpers = 0;
     std::exception_ptr error;
 
+    /**
+     * Claim the next block of points [@p begin, @p end), a share of
+     * those left: each thread first walks a band of adjacent points
+     * (neighbouring render tiles touch the same texels), and the last
+     * points go one at a time, so a long point holds up few others.
+     * False when none is left.
+     */
+    bool
+    claim(size_t &begin, size_t &end)
+    {
+        begin = next.load(std::memory_order_relaxed);
+        do {
+            if (begin >= n)
+                return false;
+            end = begin + std::max<size_t>(1, (n - begin) / (2 * threads));
+        } while (!next.compare_exchange_weak(begin, end,
+                                             std::memory_order_relaxed));
+        return true;
+    }
+
     bool
     descendsFrom(const Job &ancestor) const
     {
@@ -98,8 +119,6 @@ struct Job
 thread_local unsigned tlsNesting = 0;
 /** The pooled job whose point this thread is running. */
 thread_local const Job *tlsJob = nullptr;
-/** This thread's pool worker index, or -1 outside the pool. */
-thread_local int tlsWorker = -1;
 
 /**
  * The process-wide pool: workers start on first need, one per thread
@@ -212,12 +231,14 @@ class Pool
             tracing::nameId("sweep.point");
         const Job *outer = tlsJob;
         tlsJob = &job;
-        for (;;) {
-            size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= job.n)
-                break;
-            if (!job.failed.load(std::memory_order_relaxed)) {
-                auto t0 = Clock::now();
+        size_t begin, end;
+        while (job.claim(begin, end)) {
+            // Accounting once per block: a render's thousands of tiny
+            // tile points would otherwise contend on the job's line.
+            auto t0 = Clock::now();
+            for (size_t i = begin; i < end; ++i) {
+                if (job.failed.load(std::memory_order_relaxed))
+                    break;
                 ++tlsNesting;
                 try {
                     tracing::ScopedSpan point_span(kPointSpan, i);
@@ -229,16 +250,17 @@ class Pool
                     job.failed.store(true, std::memory_order_relaxed);
                 }
                 --tlsNesting;
-                job.busyNs.fetch_add(
-                    static_cast<uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(Clock::now() - t0)
-                            .count()),
-                    std::memory_order_relaxed);
-                if (!caller)
-                    job.helped.fetch_add(1, std::memory_order_relaxed);
             }
-            job.done.fetch_add(1, std::memory_order_relaxed);
+            job.busyNs.fetch_add(
+                static_cast<uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        Clock::now() - t0)
+                        .count()),
+                std::memory_order_relaxed);
+            if (!caller)
+                job.helped.fetch_add(end - begin,
+                                     std::memory_order_relaxed);
+            job.done.fetch_add(end - begin, std::memory_order_relaxed);
             beat();
         }
         tlsJob = outer;
@@ -247,7 +269,6 @@ class Pool
     void
     workerMain(int self)
     {
-        tlsWorker = self;
         std::unique_lock<std::mutex> lk(mu_);
         for (;;) {
             Job *j = nullptr;
@@ -270,7 +291,7 @@ class Pool
         // A worker still inside a point (exit() from a point) would
         // never be joined, nor would the parent's workers in a forked
         // child: leave both to the process's end.
-        if (busy_ || !jobs_.empty() || tlsWorker >= 0 || getpid() != pid_)
+        if (busy_ || !jobs_.empty() || getpid() != pid_)
             return;
         stop_ = true;
         lk.unlock();

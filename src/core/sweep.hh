@@ -8,13 +8,15 @@
  * one process-wide pool. Its workers start once, on first need, and
  * park on a condition variable when idle. A run's points are claimed
  * off one shared counter, lowest index first, by its caller and by
- * the pool workers it admits, so a long-running point never holds up
- * points queued behind it. The caller runs its own points and, once
- * they are all claimed, helps the runs nested under its points until
- * its run is done. A point may itself call Sweep::run (the sharded replay engine
- * does): the nested run's points go to the same workers, so no more
- * than threadCount() threads ever run points, however deep the
- * nesting.
+ * the pool workers it admits, in blocks of adjacent points that
+ * shrink with what is left: a thread first walks a band of points (a
+ * render's neighbouring tiles), and the last points go one at a time,
+ * so a long-running point holds up few others. The caller runs its
+ * own points and, once they are all claimed, helps the runs nested
+ * under its points until its run is done. A point may itself call
+ * Sweep::run (the sharded replay engine does): the nested run's
+ * points go to the same workers, so no more than threadCount()
+ * threads ever run points, however deep the nesting.
  *
  * Results are stored by point index, so their order is deterministic
  * and identical to serial execution regardless of thread count or

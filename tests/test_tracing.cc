@@ -19,6 +19,7 @@
 #include "cache/hierarchy.hh"
 #include "cache/three_c.hh"
 #include "core/experiment.hh"
+#include "core/shard_replay.hh"
 #include "core/sweep.hh"
 #include "thread_env.hh"
 #include "timing/dram_model.hh"
@@ -390,6 +391,58 @@ TEST(Tracing, SweepPassesEmitSimStageSpans)
     EXPECT_EQ(fa_spans, 2u);
     EXPECT_EQ(eventsOfKind(evs, EventKind::SpanEnd).size(),
               eventsOfKind(evs, EventKind::SpanBegin).size());
+}
+
+TEST(Tracing, TracedRunnersRecordTheirMisses)
+{
+    // Armed for misses, the runners replay in stream order: runCache
+    // records every miss as a lone cache, classifyCache every miss
+    // with its refined 3C class, and a sweep its set-associative
+    // configurations' misses (a stack pass records none). Split set
+    // shards stay silent.
+    ThreadEnv env("4");
+    TraceStore store;
+    SceneSpec quad = SceneSpec::quadScene(64, 128);
+    const TexelTrace &trace = store.trace(quad, RasterOrder::horizontal());
+    LayoutParams p;
+    p.kind = LayoutKind::Nonblocked;
+    SceneLayout layout(store.scene(quad), p);
+    TracerGuard guard(kMisses, 1, 1 << 20);
+    EXPECT_EQ(resolveShards(0, uint64_t(1) << 22), 1u);
+
+    auto misses = [](uint16_t tag) {
+        std::vector<Event> evs =
+            eventsOfKind(snapshotEvents(), EventKind::CacheMiss);
+        uint64_t cold = 0;
+        for (const Event &ev : evs) {
+            EXPECT_EQ(ev.tag, tag);
+            cold += ev.cls == uint8_t(MissClass::Cold);
+        }
+        return std::make_pair(uint64_t(evs.size()), cold);
+    };
+
+    const CacheConfig sa{4 << 10, 32, 2}, small{512, 32, 2};
+    const CacheConfig fa{4 << 10, 32, CacheConfig::kFullyAssoc};
+    for (const CacheConfig &c : {sa, fa}) {
+        configure({kMisses, 1, 1 << 20});
+        CacheStats st = runCache(trace, layout, c);
+        ASSERT_GT(st.misses, 0u);
+        EXPECT_EQ(misses(kTagStandalone),
+                  std::make_pair(st.misses, st.coldMisses));
+    }
+
+    configure({kMisses, 1, 1 << 20});
+    MissBreakdown b = classifyCache(trace, layout, small);
+    ASSERT_GT(b.conflict, 0u);
+    EXPECT_EQ(misses(kTagClassified), std::make_pair(b.misses, b.cold));
+
+    configure({kMisses, 1, 1 << 20});
+    std::vector<CacheStats> st = runCacheSweep(trace, layout, {sa, fa, small});
+    EXPECT_EQ(misses(kTagStandalone).first, st[0].misses + st[2].misses);
+
+    configure({kMisses, 1, 1 << 20});
+    runCacheSweepSharded(MemoryTraceSource(trace), layout, {sa, small}, 2);
+    EXPECT_EQ(misses(kTagStandalone).first, 0u);
 }
 
 TEST(Tracing, SceneBuildEmitsOneSpanPerBuild)
