@@ -91,9 +91,12 @@ struct VtDecision
  * trace-generation regression. Bump whenever the way fragments or
  * texels are generated changes (revision 1 was the serial-only
  * renderer; 2 added the tile-parallel engine; 3 added the
- * ISA-dispatched SIMD span kernels to the touch-only path).
+ * ISA-dispatched SIMD span kernels to the touch-only path; 4 made
+ * the engine's work unit a run of consecutive order tiles - a whole
+ * 8x8 tile row, about one scanline strip of pixels - with flat
+ * repetition sets and a merged trace that is not zero-filled).
  */
-inline constexpr uint64_t kRenderPathRevision = 3;
+inline constexpr uint64_t kRenderPathRevision = 4;
 
 /**
  * Tile-parallel execution policy of render(). The parallel engine bins

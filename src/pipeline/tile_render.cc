@@ -1,7 +1,6 @@
 #include "pipeline/tile_render.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -20,8 +19,9 @@ namespace texcache {
 namespace {
 
 /** Strip thickness for the whole-screen scanline orders: thick enough
- *  to amortize per-tile overhead, thin enough that 8 workers load-
- *  balance on an 800-pixel screen. */
+ *  to amortize per-unit overhead, thin enough that 8 workers load-
+ *  balance on an 800-pixel screen. A tiled order's work unit holds
+ *  about as many pixels as one such strip. */
 constexpr int kStripSize = 16;
 
 /** Hilbert tile edge. Origin-aligned power-of-two blocks occupy
@@ -58,34 +58,74 @@ struct RasterTask
 };
 
 /**
- * The screen's tile decomposition for one raster order: tile rects in
- * canonical (serial traversal) order plus the (tx, ty) -> canonical
- * position map the binning step uses.
+ * Pixel boundaries cutting [0, extent) into runs of whole tiles of
+ * size @p tile, at most @p run tiles each and as even as whole tiles
+ * allow: run k covers [cuts[k], cuts[k + 1]).
  */
-struct TileGrid
+std::vector<int>
+axisCuts(int extent, int tile, int64_t run)
 {
-    int tw = 0;
+    int tiles = (extent + tile - 1) / tile;
+    int parts = static_cast<int>((tiles + run - 1) / run);
+    std::vector<int> cuts(parts + 1);
+    for (int k = 0; k <= parts; ++k)
+        cuts[k] = static_cast<int>(std::min<int64_t>(
+            extent, int64_t(k) * tiles / parts * tile));
+    return cuts;
+}
+
+/** Pixel coordinate -> index of the run of @p cuts that holds it. */
+std::vector<int>
+runOfPixel(const std::vector<int> &cuts)
+{
+    std::vector<int> of(cuts.back());
+    for (size_t k = 0; k + 1 < cuts.size(); ++k)
+        std::fill(of.begin() + cuts[k], of.begin() + cuts[k + 1],
+                  static_cast<int>(k));
+    return of;
+}
+
+/**
+ * The screen's work decomposition for one raster order. The order's
+ * own tiles - full-width or full-height strips for the scanline
+ * orders, the order's tile grid for tiled orders, 32x32 blocks for
+ * Hilbert - are grouped into work units: runs of tiles that follow
+ * each other in canonical (serial traversal) order, within one tile
+ * row for horizontally-traversed tiles and one tile column for
+ * vertically-traversed ones. The units form a grid of rects, with
+ * the unit-grid cell -> canonical unit map the binning step uses.
+ */
+struct WorkGrid
+{
+    int tw = 0; ///< order-tile size: units split at its multiples
     int th = 0;
-    int nx = 0;
-    int ny = 0;
     bool hilbert = false;
-    std::vector<uint32_t> posOfTile;  ///< ty * nx + tx -> canonical pos
-    std::vector<PixelRect> rects;     ///< canonical pos -> tile rect
+    int cols = 0;
+    std::vector<int> colOfX;          ///< pixel column -> unit column
+    std::vector<int> rowOfY;          ///< pixel row -> unit row
+    std::vector<uint32_t> posOfCell;  ///< row * cols + col -> unit
+    std::vector<PixelRect> rects;     ///< canonical unit -> rect
 
     uint32_t
-    pos(int tx, int ty) const
+    pos(int col, int row) const
     {
-        return posOfTile[static_cast<size_t>(ty) * nx + tx];
+        return posOfCell[static_cast<size_t>(row) * cols + col];
     }
 };
 
-TileGrid
+WorkGrid
 buildGrid(unsigned screen_w, unsigned screen_h, const RasterOrder &order)
 {
-    TileGrid g;
+    WorkGrid g;
     int w = static_cast<int>(screen_w);
     int h = static_cast<int>(screen_h);
+    const bool horiz = order.dir == ScanDirection::Horizontal;
 
+    // Tiles per unit along the scan direction's between-tile axis:
+    // enough for a unit to hold about one scanline strip's pixels, so
+    // small tiles stop paying per-unit costs (8x8 tiles get whole tile
+    // rows) while large ones keep one tile per unit.
+    int64_t run = 1;
     if (order.hilbert) {
         fatal_if(screen_w > (1u << kHilbertOrder) ||
                      screen_h > (1u << kHilbertOrder),
@@ -99,72 +139,78 @@ buildGrid(unsigned screen_w, unsigned screen_h, const RasterOrder &order)
                  "tiled order with zero tile dimensions");
         g.tw = static_cast<int>(order.tileW);
         g.th = static_cast<int>(order.tileH);
-    } else if (order.dir == ScanDirection::Horizontal) {
+        int64_t strip = int64_t(kStripSize) * (horiz ? w : h);
+        run = std::max<int64_t>(1, strip / (int64_t(g.tw) * g.th));
+    } else if (horiz) {
         g.tw = w;
         g.th = kStripSize;
     } else {
         g.tw = kStripSize;
         g.th = h;
     }
-    g.nx = (w + g.tw - 1) / g.tw;
-    g.ny = (h + g.th - 1) / g.th;
+    std::vector<int> xs = axisCuts(w, g.tw, horiz ? run : 1);
+    std::vector<int> ys = axisCuts(h, g.th, horiz ? 1 : run);
+    g.cols = static_cast<int>(xs.size()) - 1;
+    int rows = static_cast<int>(ys.size()) - 1;
+    g.colOfX = runOfPixel(xs);
+    g.rowOfY = runOfPixel(ys);
 
-    size_t n = static_cast<size_t>(g.nx) * g.ny;
-    std::vector<uint32_t> tileOfPos(n);
+    size_t n = static_cast<size_t>(g.cols) * rows;
+    std::vector<uint32_t> cellOfPos(n);
     if (g.hilbert) {
         // Canonical block order = curve order. Blocks are disjoint
         // contiguous index ranges, so comparing the origin cells'
         // indices orders the ranges themselves.
         std::vector<std::pair<uint64_t, uint32_t>> blocks;
         blocks.reserve(n);
-        for (int ty = 0; ty < g.ny; ++ty)
-            for (int tx = 0; tx < g.nx; ++tx)
+        for (int r = 0; r < rows; ++r)
+            for (int c = 0; c < g.cols; ++c)
                 blocks.emplace_back(
                     hilbertIndex(kHilbertOrder,
-                                 static_cast<uint32_t>(tx * g.tw),
-                                 static_cast<uint32_t>(ty * g.th)),
-                    static_cast<uint32_t>(ty) * g.nx + tx);
+                                 static_cast<uint32_t>(xs[c]),
+                                 static_cast<uint32_t>(ys[r])),
+                    static_cast<uint32_t>(r) * g.cols + c);
         std::sort(blocks.begin(), blocks.end());
         for (size_t p = 0; p < n; ++p)
-            tileOfPos[p] = blocks[p].second;
-    } else if (!order.tiled || order.dir == ScanDirection::Horizontal) {
-        // Row strips (nx == 1), column strips (ny == 1) and
-        // horizontally-traversed tiles are all row-major == id order.
+            cellOfPos[p] = blocks[p].second;
+    } else if (!order.tiled || horiz) {
+        // Row strips (one column), column strips (one row) and
+        // horizontally-traversed tiles are all row-major.
         for (size_t p = 0; p < n; ++p)
-            tileOfPos[p] = static_cast<uint32_t>(p);
+            cellOfPos[p] = static_cast<uint32_t>(p);
     } else {
         // Vertically-traversed tiles: column-major between tiles
         // (Fig 6.4(a)), matching traverseRect.
         size_t p = 0;
-        for (int tx = 0; tx < g.nx; ++tx)
-            for (int ty = 0; ty < g.ny; ++ty)
-                tileOfPos[p++] = static_cast<uint32_t>(ty) * g.nx + tx;
+        for (int c = 0; c < g.cols; ++c)
+            for (int r = 0; r < rows; ++r)
+                cellOfPos[p++] = static_cast<uint32_t>(r) * g.cols + c;
     }
 
-    g.posOfTile.resize(n);
+    g.posOfCell.resize(n);
     g.rects.resize(n);
     for (size_t p = 0; p < n; ++p) {
-        uint32_t tile = tileOfPos[p];
-        int tx = static_cast<int>(tile) % g.nx;
-        int ty = static_cast<int>(tile) / g.nx;
-        g.posOfTile[tile] = static_cast<uint32_t>(p);
-        PixelRect r;
-        r.x0 = tx * g.tw;
-        r.y0 = ty * g.th;
-        r.x1 = std::min(w - 1, r.x0 + g.tw - 1);
-        r.y1 = std::min(h - 1, r.y0 + g.th - 1);
-        g.rects[p] = r;
+        uint32_t cell = cellOfPos[p];
+        int c = static_cast<int>(cell) % g.cols;
+        int r = static_cast<int>(cell) / g.cols;
+        g.posOfCell[cell] = static_cast<uint32_t>(p);
+        PixelRect rect;
+        rect.x0 = xs[c];
+        rect.y0 = ys[r];
+        rect.x1 = xs[c + 1] - 1;
+        rect.y1 = ys[r + 1] - 1;
+        g.rects[p] = rect;
     }
     return g;
 }
 
-/** Everything one tile produces; merged in canonical order. */
-struct TileResult
+/** Everything one work unit produces; merged in canonical order. */
+struct UnitResult
 {
     /** Packed texel records, segment per binned task, in task order. */
     std::vector<uint64_t> records;
-    /** Per binned task (aligned with the tile's bin): end offset into
-     *  records, and the task's fragment count in this tile. */
+    /** Per binned task (aligned with the unit's bin): end offset into
+     *  records, and the task's fragment count in this unit. */
     std::vector<uint32_t> segRecEnd;
     std::vector<uint32_t> segFrags;
 
@@ -173,13 +219,9 @@ struct TileResult
     uint64_t trilinearFragments = 0;
     uint64_t nearestFragments = 0;
     stats::Distribution lod;
-    /** Buffered repetition-set keys, bucketed by the counter's shard:
-     *  pushing here is much cheaper than per-tile hash sets, and the
-     *  merge hands each shard's keys to exactly one worker, so the
-     *  total hashing work equals the serial path's but runs in
-     *  parallel (a set union is order-free). */
-    std::array<std::vector<uint64_t>, RepetitionCounter::kShards> uwKeys;
-    std::array<std::vector<uint64_t>, RepetitionCounter::kShards> wrKeys;
+    /** Repetition-set keys, bucketed by the counter's shard; the
+     *  merge hands each shard's keys to exactly one worker. */
+    RepetitionCounter::KeyBuffer keys;
 };
 
 inline PixelRect
@@ -193,38 +235,20 @@ intersect(const PixelRect &a, const PixelRect &b)
     return r;
 }
 
-} // namespace
-
-RenderOutput
-renderTiled(const Scene &scene, const RasterOrder &order,
-            const RenderOptions &opts)
+/**
+ * Clip, set up and cull every scene triangle, in input order. The
+ * geometry statistics replicate renderReference's loop exactly; the
+ * fragment-side statistics come from the work units.
+ */
+std::vector<RasterTask>
+setUpTasks(const Scene &scene, RenderStats &stats)
 {
-    static const uint16_t kRenderSpan = tracing::nameId("render.frame");
-    static const uint16_t kTileSpan = tracing::nameId("render.tile");
-    tracing::ScopedSpan span(kRenderSpan, scene.triangles.size());
-
-    RenderOutput out;
-    if (opts.writeFramebuffer)
-        out.framebuffer = Image(scene.screenW, scene.screenH,
-                                Rgba8{16, 16, 32, 255});
-    // The z-buffer only gates framebuffer writes (the paper's machine
-    // model textures before the depth test), so trace-only renders
-    // skip it entirely.
-    std::vector<float> zbuf;
-    if (opts.writeFramebuffer)
-        zbuf.assign(static_cast<size_t>(scene.screenW) * scene.screenH,
-                    1e30f);
-
     Mat4 mvp = scene.proj * scene.view;
-
-    // ---- Front end: clip, set up and bin triangles (serial) --------
-    // Statistics here replicate renderReference's geometry loop
-    // exactly; the fragment-side statistics come from the tiles.
     std::vector<RasterTask> tasks;
     tasks.reserve(scene.triangles.size());
     for (size_t tri_i = 0; tri_i < scene.triangles.size(); ++tri_i) {
         const SceneTriangle &tri = scene.triangles[tri_i];
-        ++out.stats.trianglesIn;
+        ++stats.trianglesIn;
         fatal_if(tri.texture >= scene.textures.size(),
                  "triangle references texture ", tri.texture, " of ",
                  scene.textures.size());
@@ -242,7 +266,7 @@ renderTiled(const Scene &scene, const RasterOrder &order,
         ClipVertex poly[4];
         unsigned n = clipNear(cv, poly);
         if (n < 3) {
-            ++out.stats.trianglesculled;
+            ++stats.trianglesculled;
             continue;
         }
 
@@ -256,48 +280,101 @@ renderTiled(const Scene &scene, const RasterOrder &order,
             TriangleSetup setup(a, b, c);
             if (!setup.valid())
                 continue;
-            ++out.stats.trianglesRasterized;
+            ++stats.trianglesRasterized;
 
             PixelRect box = setup.bounds(scene.screenW, scene.screenH);
             if (!box.empty()) {
-                out.stats.sumBoxWidth += box.x1 - box.x0 + 1;
-                out.stats.sumBoxHeight += box.y1 - box.y0 + 1;
-                ++out.stats.boxSamples;
+                stats.sumBoxWidth += box.x1 - box.x0 + 1;
+                stats.sumBoxHeight += box.y1 - box.y0 + 1;
+                ++stats.boxSamples;
                 tasks.emplace_back(setup, box,
                                    static_cast<uint32_t>(tri_i),
                                    tri.texture, tex_w, tex_h);
             }
         }
     }
+    return tasks;
+}
 
-    TileGrid grid = buildGrid(scene.screenW, scene.screenH, order);
-    size_t n_tiles = grid.rects.size();
+/** Tasks binned to the work units their bounding boxes overlap. */
+struct Bins
+{
+    std::vector<std::vector<uint32_t>> tasksOf; ///< unit -> tasks
+    /** Task t's units in canonical order: unitsOfTask[unitsEnd[t - 1]
+     *  .. unitsEnd[t]). */
+    std::vector<uint32_t> unitsOfTask;
+    std::vector<uint32_t> unitsEnd;
+};
 
-    std::vector<std::vector<uint32_t>> bins(n_tiles);
-    std::vector<std::vector<uint32_t>> tilesOfTask(tasks.size());
+Bins
+binTasks(const std::vector<RasterTask> &tasks, const WorkGrid &grid)
+{
+    Bins b;
+    b.tasksOf.resize(grid.rects.size());
+    b.unitsEnd.resize(tasks.size());
     for (uint32_t t = 0; t < tasks.size(); ++t) {
         const PixelRect &box = tasks[t].box;
-        int tx0 = box.x0 / grid.tw, tx1 = box.x1 / grid.tw;
-        int ty0 = box.y0 / grid.th, ty1 = box.y1 / grid.th;
-        for (int ty = ty0; ty <= ty1; ++ty)
-            for (int tx = tx0; tx <= tx1; ++tx) {
-                uint32_t pos = grid.pos(tx, ty);
-                bins[pos].push_back(t);
-                tilesOfTask[t].push_back(pos);
+        size_t first = b.unitsOfTask.size();
+        for (int r = grid.rowOfY[box.y0]; r <= grid.rowOfY[box.y1]; ++r)
+            for (int c = grid.colOfX[box.x0]; c <= grid.colOfX[box.x1];
+                 ++c) {
+                uint32_t u = grid.pos(c, r);
+                b.tasksOf[u].push_back(t);
+                b.unitsOfTask.push_back(u);
             }
         // Canonical order for the merge (binning enumerates the grid
         // row-major, which is not canonical for vertically-traversed
         // tiles or the Hilbert curve).
-        std::sort(tilesOfTask[t].begin(), tilesOfTask[t].end());
+        std::sort(b.unitsOfTask.begin() + first, b.unitsOfTask.end());
+        b.unitsEnd[t] = static_cast<uint32_t>(b.unitsOfTask.size());
     }
+    return b;
+}
 
-    std::vector<uint32_t> work; // canonical positions with tasks
-    work.reserve(n_tiles);
-    for (uint32_t pos = 0; pos < n_tiles; ++pos)
-        if (!bins[pos].empty())
-            work.push_back(pos);
+} // namespace
 
-    // ---- Tile workers (core/sweep pool; deterministic results) -----
+RenderOutput
+renderTiled(const Scene &scene, const RasterOrder &order,
+            const RenderOptions &opts)
+{
+    static const uint16_t kRenderSpan = tracing::nameId("render.frame");
+    static const uint16_t kSetupSpan = tracing::nameId("raster.setup");
+    static const uint16_t kTileSpan = tracing::nameId("render.tile");
+    static const uint16_t kMergeSpan = tracing::nameId("trace.merge");
+    tracing::ScopedSpan span(kRenderSpan, scene.triangles.size());
+
+    RenderOutput out;
+    if (opts.writeFramebuffer)
+        out.framebuffer = Image(scene.screenW, scene.screenH,
+                                Rgba8{16, 16, 32, 255});
+    // The z-buffer only gates framebuffer writes (the paper's machine
+    // model textures before the depth test), so trace-only renders
+    // skip it entirely.
+    std::vector<float> zbuf;
+    if (opts.writeFramebuffer)
+        zbuf.assign(static_cast<size_t>(scene.screenW) * scene.screenH,
+                    1e30f);
+
+    // ---- Front end: clip, set up and bin triangles (serial) --------
+    std::vector<RasterTask> tasks;
+    WorkGrid grid;
+    Bins bins;
+    {
+        tracing::ScopedSpan setupSpan(kSetupSpan,
+                                      scene.triangles.size());
+        tasks = setUpTasks(scene, out.stats);
+        grid = buildGrid(scene.screenW, scene.screenH, order);
+        bins = binTasks(tasks, grid);
+    }
+    size_t n_units = grid.rects.size();
+
+    std::vector<uint32_t> work; // canonical units with tasks
+    work.reserve(n_units);
+    for (uint32_t u = 0; u < n_units; ++u)
+        if (!bins.tasksOf[u].empty())
+            work.push_back(u);
+
+    // ---- Unit workers (core/sweep pool; deterministic results) -----
     const bool touchOnly = !opts.writeFramebuffer;
     const bool horiz = order.dir == ScanDirection::Horizontal;
     // Trace-only renders (the actual trace-generation workload) run
@@ -309,22 +386,22 @@ renderTiled(const Scene &scene, const RasterOrder &order,
     const simd::SpanKernels *simdK =
         touchOnly ? &simd::kernels() : nullptr;
 
-    auto renderTile = [&](uint32_t pos) -> TileResult {
-        tracing::ScopedSpan tileSpan(kTileSpan, pos);
-        TileResult res;
-        const PixelRect &trect = grid.rects[pos];
-        res.segRecEnd.reserve(bins[pos].size());
-        res.segFrags.reserve(bins[pos].size());
+    auto renderUnit = [&](uint32_t u) -> UnitResult {
+        tracing::ScopedSpan unitSpan(kTileSpan, u);
+        UnitResult res;
+        const PixelRect &urect = grid.rects[u];
+        res.segRecEnd.reserve(bins.tasksOf[u].size());
+        res.segFrags.reserve(bins.tasksOf[u].size());
 
-        // Hilbert tiles: the block's cells in curve order, computed
-        // once per tile and filtered per task (cheaper than the
+        // Hilbert blocks: the block's cells in curve order, computed
+        // once per unit and filtered per task (cheaper than the
         // reference's per-triangle bounding-box sort).
         std::vector<std::pair<uint64_t, std::pair<int, int>>> cells;
         if (grid.hilbert) {
-            cells.reserve(static_cast<size_t>(trect.x1 - trect.x0 + 1) *
-                          (trect.y1 - trect.y0 + 1));
-            for (int y = trect.y0; y <= trect.y1; ++y)
-                for (int x = trect.x0; x <= trect.x1; ++x)
+            cells.reserve(static_cast<size_t>(urect.x1 - urect.x0 + 1) *
+                          (urect.y1 - urect.y0 + 1));
+            for (int y = urect.y0; y <= urect.y1; ++y)
+                for (int x = urect.x0; x <= urect.x1; ++x)
                     cells.emplace_back(
                         hilbertIndex(kHilbertOrder,
                                      static_cast<uint32_t>(x),
@@ -383,17 +460,13 @@ renderTiled(const Scene &scene, const RasterOrder &order,
                 float sv = frag.v * li.height() - 0.5f;
                 int32_t iu = static_cast<int32_t>(std::floor(su));
                 int32_t iv = static_cast<int32_t>(std::floor(sv));
-                RepetitionCounter::KeyPair k = RepetitionCounter::keys(
+                res.keys.push(RepetitionCounter::keys(
                     task->texture, static_cast<uint16_t>(lvl), iu, iv,
-                    s.touches[0].u, s.touches[0].v);
-                res.uwKeys[RepetitionCounter::shardOf(k.unwrapped)]
-                    .push_back(k.unwrapped);
-                res.wrKeys[RepetitionCounter::shardOf(k.wrapped)]
-                    .push_back(k.wrapped);
+                    s.touches[0].u, s.touches[0].v));
             }
 
             if (opts.writeFramebuffer) {
-                // Depth test after texturing (paper Fig 2.1). Tiles
+                // Depth test after texturing (paper Fig 2.1). Units
                 // cover disjoint pixels, so the shared z-buffer and
                 // framebuffer need no synchronization.
                 size_t pix = static_cast<size_t>(frag.y) *
@@ -444,163 +517,120 @@ renderTiled(const Scene &scene, const RasterOrder &order,
                         static_cast<uint16_t>(bxs[i]),
                         static_cast<uint16_t>(bys[i]), task->texture,
                         bo.firstLevel[i], bo.firstU[i], bo.firstV[i]);
-            if (opts.countRepetition) {
-                for (int i = 0; i < bn; ++i) {
-                    RepetitionCounter::KeyPair k =
-                        RepetitionCounter::keys(
-                            task->texture, bo.firstLevel[i],
-                            bo.anchorU[i], bo.anchorV[i], bo.firstU[i],
-                            bo.firstV[i]);
-                    res.uwKeys[RepetitionCounter::shardOf(k.unwrapped)]
-                        .push_back(k.unwrapped);
-                    res.wrKeys[RepetitionCounter::shardOf(k.wrapped)]
-                        .push_back(k.wrapped);
+            if (opts.countRepetition)
+                for (int i = 0; i < bn; ++i)
+                    res.keys.push(RepetitionCounter::keys(
+                        task->texture, bo.firstLevel[i], bo.anchorU[i],
+                        bo.anchorV[i], bo.firstU[i], bo.firstV[i]));
+        };
+
+        // Covered pixels enter a pending batch in traversal order and
+        // flush in order. Batches fill across spans and across the
+        // unit's tiles: the paper scenes' triangles average only a
+        // handful of pixels per row, so per-span batches would run
+        // the wide kernels mostly on tails.
+        Fragment frag;
+        int32_t bxs[simd::kSpanBatch], bys[simd::kSpanBatch];
+        simd::SpanBatchOut bo;
+        int pend = 0;
+        auto flush = [&]() {
+            if (!pend)
+                return;
+            simdK->touches(sctx, bxs, bys, pend, bo);
+            consumeBatch(bxs, bys, pend, bo);
+            pend = 0;
+        };
+        auto batchPixel = [&](int x, int y) {
+            bxs[pend] = x;
+            bys[pend] = y;
+            if (++pend == simd::kSpanBatch)
+                flush();
+        };
+        // Interior pixels need no coverage test: coverage along a
+        // line is an interval and spanOnLine verified both endpoints.
+        auto shadePixel = [&](int x, int y) {
+            task->setup.attributesAt(x, y, frag);
+            emitFragment(frag);
+        };
+        // A unit's tiles follow each other along x (horizontal
+        // direction) or y (vertical) in canonical order, so the task's
+        // rect is cut at tile boundaries along that axis and each
+        // piece scanned in the scan direction - the serial traversal.
+        auto walkTiles = [&](const PixelRect &r, auto &&visit) {
+            if (horiz) {
+                for (int x0 = r.x0; x0 <= r.x1;) {
+                    int x1 = std::min(r.x1, (x0 / grid.tw + 1) * grid.tw - 1);
+                    for (int y = r.y0; y <= r.y1; ++y) {
+                        int lo = x0, hi = x1;
+                        if (spanOnLine(task->setup, true, y, lo, hi))
+                            for (int x = lo; x <= hi; ++x)
+                                visit(x, y);
+                    }
+                    x0 = x1 + 1;
+                }
+            } else {
+                for (int y0 = r.y0; y0 <= r.y1;) {
+                    int y1 = std::min(r.y1, (y0 / grid.th + 1) * grid.th - 1);
+                    for (int x = r.x0; x <= r.x1; ++x) {
+                        int lo = y0, hi = y1;
+                        if (spanOnLine(task->setup, false, x, lo, hi))
+                            for (int y = lo; y <= hi; ++y)
+                                visit(x, y);
+                    }
+                    y0 = y1 + 1;
                 }
             }
         };
 
-        Fragment frag;
-        int32_t bxs[simd::kSpanBatch], bys[simd::kSpanBatch];
-        simd::SpanBatchOut bo;
-        for (uint32_t t : bins[pos]) {
+        for (uint32_t t : bins.tasksOf[u]) {
             task = &tasks[t];
             mip = &scene.textures[task->texture];
             fragCount = 0;
-            PixelRect r = intersect(task->box, trect);
+            PixelRect r = intersect(task->box, urect);
             if (simdK)
                 sctx = simd::makeSpanContext(task->setup, *mip,
                                              task->texture, task->texW,
                                              task->texH,
                                              opts.filterMode);
 
-            if (grid.hilbert) {
-                if (simdK) {
-                    // Candidate cells in curve order; coverage tested
-                    // kSpanBatch at a time, survivors compacted (in
-                    // curve order) into full touch batches.
-                    int32_t txs[simd::kSpanBatch];
-                    int32_t tys[simd::kSpanBatch];
-                    int cand = 0, pend = 0;
-                    auto flushPend = [&]() {
-                        if (!pend)
-                            return;
-                        simdK->touches(sctx, bxs, bys, pend, bo);
-                        consumeBatch(bxs, bys, pend, bo);
-                        pend = 0;
-                    };
-                    auto testCand = [&]() {
-                        if (!cand)
-                            return;
-                        uint32_t m =
-                            simdK->coverMask(sctx, txs, tys, cand);
-                        for (int i = 0; i < cand; ++i) {
-                            if (!(m >> i & 1u))
-                                continue;
-                            bxs[pend] = txs[i];
-                            bys[pend] = tys[i];
-                            if (++pend == simd::kSpanBatch)
-                                flushPend();
-                        }
-                        cand = 0;
-                    };
-                    for (const auto &c : cells) {
-                        int x = c.second.first, y = c.second.second;
-                        if (x < r.x0 || x > r.x1 || y < r.y0 ||
-                            y > r.y1)
-                            continue;
-                        txs[cand] = x;
-                        tys[cand] = y;
-                        if (++cand == simd::kSpanBatch)
-                            testCand();
-                    }
+            if (grid.hilbert && simdK) {
+                // Candidate cells in curve order; coverage tested
+                // kSpanBatch at a time, survivors batched in order.
+                int32_t txs[simd::kSpanBatch];
+                int32_t tys[simd::kSpanBatch];
+                int cand = 0;
+                auto testCand = [&]() {
+                    uint32_t m = simdK->coverMask(sctx, txs, tys, cand);
+                    for (int i = 0; i < cand; ++i)
+                        if (m >> i & 1u)
+                            batchPixel(txs[i], tys[i]);
+                    cand = 0;
+                };
+                for (const auto &c : cells) {
+                    int x = c.second.first, y = c.second.second;
+                    if (x < r.x0 || x > r.x1 || y < r.y0 || y > r.y1)
+                        continue;
+                    txs[cand] = x;
+                    tys[cand] = y;
+                    if (++cand == simd::kSpanBatch)
+                        testCand();
+                }
+                if (cand)
                     testCand();
-                    flushPend();
-                } else {
-                    for (const auto &c : cells) {
-                        int x = c.second.first, y = c.second.second;
-                        if (x < r.x0 || x > r.x1 || y < r.y0 ||
-                            y > r.y1)
-                            continue;
-                        if (task->setup.shade(x, y, frag))
-                            emitFragment(frag);
-                    }
+                flush();
+            } else if (grid.hilbert) {
+                for (const auto &c : cells) {
+                    int x = c.second.first, y = c.second.second;
+                    if (x < r.x0 || x > r.x1 || y < r.y0 || y > r.y1)
+                        continue;
+                    if (task->setup.shade(x, y, frag))
+                        emitFragment(frag);
                 }
-            } else if (horiz) {
-                if (simdK) {
-                    // Interior pixels need no coverage test. Batches
-                    // fill *across* spans: the paper scenes' triangles
-                    // average only a handful of pixels per row, so
-                    // per-span batches would run the wide kernels
-                    // mostly on tails. Traversal order is preserved -
-                    // pixels enter the batch exactly in row-major
-                    // span order and flush in order.
-                    int pend = 0;
-                    for (int y = r.y0; y <= r.y1; ++y) {
-                        int lo = r.x0, hi = r.x1;
-                        if (!spanOnLine(task->setup, true, y, lo, hi))
-                            continue;
-                        for (int x = lo; x <= hi; ++x) {
-                            bxs[pend] = x;
-                            bys[pend] = y;
-                            if (++pend == simd::kSpanBatch) {
-                                simdK->touches(sctx, bxs, bys, pend,
-                                               bo);
-                                consumeBatch(bxs, bys, pend, bo);
-                                pend = 0;
-                            }
-                        }
-                    }
-                    if (pend) {
-                        simdK->touches(sctx, bxs, bys, pend, bo);
-                        consumeBatch(bxs, bys, pend, bo);
-                    }
-                } else {
-                    for (int y = r.y0; y <= r.y1; ++y) {
-                        int lo = r.x0, hi = r.x1;
-                        if (!spanOnLine(task->setup, true, y, lo, hi))
-                            continue;
-                        for (int x = lo; x <= hi; ++x) {
-                            // Interior pixels need no coverage test:
-                            // coverage along a line is an interval
-                            // and both endpoints were verified.
-                            task->setup.attributesAt(x, y, frag);
-                            emitFragment(frag);
-                        }
-                    }
-                }
+            } else if (simdK) {
+                walkTiles(r, batchPixel);
+                flush();
             } else {
-                if (simdK) {
-                    int pend = 0;
-                    for (int x = r.x0; x <= r.x1; ++x) {
-                        int lo = r.y0, hi = r.y1;
-                        if (!spanOnLine(task->setup, false, x, lo, hi))
-                            continue;
-                        for (int y = lo; y <= hi; ++y) {
-                            bxs[pend] = x;
-                            bys[pend] = y;
-                            if (++pend == simd::kSpanBatch) {
-                                simdK->touches(sctx, bxs, bys, pend,
-                                               bo);
-                                consumeBatch(bxs, bys, pend, bo);
-                                pend = 0;
-                            }
-                        }
-                    }
-                    if (pend) {
-                        simdK->touches(sctx, bxs, bys, pend, bo);
-                        consumeBatch(bxs, bys, pend, bo);
-                    }
-                } else {
-                    for (int x = r.x0; x <= r.x1; ++x) {
-                        int lo = r.y0, hi = r.y1;
-                        if (!spanOnLine(task->setup, false, x, lo, hi))
-                            continue;
-                        for (int y = lo; y <= hi; ++y) {
-                            task->setup.attributesAt(x, y, frag);
-                            emitFragment(frag);
-                        }
-                    }
-                }
+                walkTiles(r, shadePixel);
             }
             res.segFrags.push_back(fragCount);
             res.segRecEnd.push_back(
@@ -611,91 +641,93 @@ renderTiled(const Scene &scene, const RasterOrder &order,
         return res;
     };
 
-    std::vector<SweepResult<TileResult>> results;
+    std::vector<SweepResult<UnitResult>> results;
     if (!work.empty())
-        results = Sweep::run(work, renderTile);
+        results = Sweep::run(work, renderUnit);
 
     // ---- Deterministic merge ---------------------------------------
+    tracing::ScopedSpan mergeSpan(kMergeSpan, results.size());
     // Order-free statistics first (integer counters, histogram
-    // buckets), folded in canonical tile order.
+    // buckets), folded in canonical unit order.
     size_t totalRecords = 0;
     for (const auto &r : results) {
-        const TileResult &tr = r.value;
-        out.stats.texelAccesses += tr.texelAccesses;
-        out.stats.bilinearFragments += tr.bilinearFragments;
-        out.stats.trilinearFragments += tr.trilinearFragments;
-        out.stats.nearestFragments += tr.nearestFragments;
-        out.stats.lodLevels.merge(tr.lod);
-        totalRecords += tr.records.size();
+        const UnitResult &ur = r.value;
+        out.stats.texelAccesses += ur.texelAccesses;
+        out.stats.bilinearFragments += ur.bilinearFragments;
+        out.stats.trilinearFragments += ur.trilinearFragments;
+        out.stats.nearestFragments += ur.nearestFragments;
+        out.stats.lodLevels.merge(ur.lod);
+        totalRecords += ur.records.size();
     }
 
     // Repetition-set union, one counter shard per sweep point. Each
     // shard's set is touched by exactly one worker and a union yields
     // the same set in any insertion order, so this is both race-free
-    // and bit-identical to the serial insert sequence.
+    // and identical to the serial insert sequence.
     if (opts.countRepetition && !results.empty()) {
+        std::vector<const RepetitionCounter::KeyBuffer *> buffers;
+        buffers.reserve(results.size());
+        for (const auto &r : results)
+            buffers.push_back(&r.value.keys);
         std::vector<unsigned> shards(RepetitionCounter::kShards);
         for (unsigned s = 0; s < RepetitionCounter::kShards; ++s)
             shards[s] = s;
         Sweep::run(shards, [&](unsigned s) -> int {
-            for (const auto &r : results) {
-                const TileResult &tr = r.value;
-                out.repetition.insertUnwrapped(s, tr.uwKeys[s].data(),
-                                               tr.uwKeys[s].size());
-                out.repetition.insertWrapped(s, tr.wrKeys[s].data(),
-                                             tr.wrKeys[s].size());
-            }
+            out.repetition.unionShard(s, buffers);
             return 0;
         });
     }
 
     // The trace is order-sensitive: the serial renderer is triangle-
     // major (raster order applies *within* each triangle's box), so
-    // concatenating whole tiles would interleave triangles wrongly.
-    // Instead, every (task, tile) segment lands in (task order,
-    // canonical tile order) - exactly the serial traversal. A cheap
+    // concatenating whole units would interleave triangles wrongly.
+    // Instead, every (task, unit) segment lands in (task order,
+    // canonical unit order) - exactly the serial traversal. A cheap
     // serial pass assigns each segment its destination offset (and
     // folds the order-sensitive fragment statistics); the segment
     // copies themselves go to disjoint ranges, so they run on the
     // pool.
-    std::vector<uint32_t> posToWork(n_tiles, 0);
+    std::vector<uint32_t> unitToWork(n_units, 0);
     for (uint32_t i = 0; i < work.size(); ++i)
-        posToWork[work[i]] = i;
-    std::vector<uint32_t> cursor(n_tiles, 0);
+        unitToWork[work[i]] = i;
+    std::vector<uint32_t> cursor(n_units, 0);
     std::vector<uint64_t> triFrags(scene.triangles.size(), 0);
     std::vector<std::vector<size_t>> segDst(results.size());
     for (size_t i = 0; i < results.size(); ++i)
         segDst[i].resize(results[i].value.segRecEnd.size());
     size_t dst = 0;
-    for (uint32_t t = 0; t < tasks.size(); ++t) {
-        for (uint32_t pos : tilesOfTask[t]) {
-            uint32_t wi = posToWork[pos];
-            const TileResult &tr = results[wi].value;
-            uint32_t seg = cursor[pos]++;
-            uint32_t beg = seg ? tr.segRecEnd[seg - 1] : 0;
+    for (uint32_t t = 0, k = 0; t < tasks.size(); ++t) {
+        for (; k < bins.unitsEnd[t]; ++k) {
+            uint32_t u = bins.unitsOfTask[k];
+            uint32_t wi = unitToWork[u];
+            const UnitResult &ur = results[wi].value;
+            uint32_t seg = cursor[u]++;
+            uint32_t beg = seg ? ur.segRecEnd[seg - 1] : 0;
             segDst[wi][seg] = dst;
-            dst += tr.segRecEnd[seg] - beg;
-            if (opts.traceSink && tr.segRecEnd[seg] > beg)
-                opts.traceSink->append(tr.records.data() + beg,
-                                       tr.segRecEnd[seg] - beg);
-            uint64_t frags = tr.segFrags[seg];
+            dst += ur.segRecEnd[seg] - beg;
+            if (opts.traceSink && ur.segRecEnd[seg] > beg)
+                opts.traceSink->append(ur.records.data() + beg,
+                                       ur.segRecEnd[seg] - beg);
+            uint64_t frags = ur.segFrags[seg];
             out.stats.fragments += frags;
             triFrags[tasks[t].sceneTri] += frags;
         }
     }
     if (opts.captureTrace && totalRecords && !opts.traceSink) {
+        // Every record of the new trace is written by exactly one
+        // segment copy, so the trace is not zero-filled first.
         out.trace.resizePacked(totalRecords);
         uint64_t *base = out.trace.mutablePacked();
         std::vector<uint32_t> copyWork(results.size());
         for (uint32_t i = 0; i < copyWork.size(); ++i)
             copyWork[i] = i;
         Sweep::run(copyWork, [&](uint32_t wi) -> int {
-            const TileResult &tr = results[wi].value;
+            const UnitResult &ur = results[wi].value;
             for (size_t seg = 0; seg < segDst[wi].size(); ++seg) {
-                uint32_t beg = seg ? tr.segRecEnd[seg - 1] : 0;
-                uint32_t len = tr.segRecEnd[seg] - beg;
+                uint32_t beg = seg ? ur.segRecEnd[seg - 1] : 0;
+                uint32_t len = ur.segRecEnd[seg] - beg;
                 if (len)
-                    std::copy_n(tr.records.data() + beg, len,
+                    std::copy_n(ur.records.data() + beg, len,
                                 base + segDst[wi][seg]);
             }
             return 0;

@@ -3,15 +3,17 @@
  * Tile-parallel deterministic rendering (DESIGN.md section 11).
  *
  * The screen is decomposed into tiles aligned to the rasterization
- * order's own traversal structure, clipped triangles are binned into
- * the tiles their bounding boxes overlap, and the tiles render
- * concurrently on the core/sweep pool - each worker
- * emitting into a private texel-record buffer, private statistics and
- * a private (disjoint) framebuffer region. A deterministic merge then
- * reassembles the per-(triangle, tile) segments in (triangle order,
- * canonical tile order), which reproduces the serial traversal
- * exactly: the trace, framebuffer and statistics are byte-identical
- * to renderReference() at any thread count.
+ * order's own traversal structure, and runs of tiles consecutive in
+ * canonical order form work units of about one scanline strip of
+ * pixels. Clipped triangles are binned into the units their bounding
+ * boxes overlap, and the units render concurrently on the core/sweep
+ * pool - each worker emitting into a private texel-record buffer,
+ * private statistics and a private (disjoint) framebuffer region. A
+ * deterministic merge then reassembles the per-(triangle, unit)
+ * segments in (triangle order, canonical unit order), which
+ * reproduces the serial traversal exactly: the trace, framebuffer and
+ * statistics are byte-identical to renderReference() at any thread
+ * count.
  *
  * Tile decompositions per order (each chosen so a tile boundary never
  * splits the serial traversal of a triangle *within* one tile's
@@ -20,7 +22,9 @@
  *  - horizontal scanline: full-width row strips;
  *  - vertical scanline:   full-height column strips;
  *  - tiled:               exactly the order's screen-aligned tile
- *                         grid, in its tile traversal order;
+ *                         grid, in its tile traversal order; a unit
+ *                         is a run of tiles within one tile row
+ *                         (horizontal) or column (vertical);
  *  - Hilbert:             origin-aligned 2^k blocks, which occupy
  *                         contiguous Hilbert index ranges, ordered by
  *                         curve position.

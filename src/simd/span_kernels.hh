@@ -37,7 +37,8 @@ constexpr int kSpanBatch = 8;
 /**
  * Everything the kernels need about one raster task: the triangle's
  * attribute planes and edge functions, the texture and the filter
- * configuration. Built once per (triangle, tile) by makeSpanContext.
+ * configuration. Built once per (triangle, work unit) by
+ * makeSpanContext.
  */
 struct SpanContext
 {

@@ -14,6 +14,9 @@
 #define TEXCACHE_TRACE_TEXEL_TRACE_HH
 
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -91,10 +94,47 @@ class TraceSink
     virtual void append(const uint64_t *records, size_t n) = 0;
 };
 
+/**
+ * std::allocator whose argument-less construct() default-initializes:
+ * resizing a vector of integers leaves the new elements unwritten
+ * instead of zero-filling them.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    template <typename U>
+    struct rebind
+    {
+        using other = DefaultInitAllocator<U>;
+    };
+
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept
+    {}
+
+    template <typename U>
+    void
+    construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
 /** An in-memory texel trace for one rendered frame. */
 class TexelTrace
 {
   public:
+    /** Packed records; resizePacked() leaves new ones unwritten. */
+    using Records = std::vector<uint64_t, DefaultInitAllocator<uint64_t>>;
+
     void
     append(const TexelRecord &r)
     {
@@ -115,7 +155,8 @@ class TexelTrace
     /** Size the record vector so concurrent writers can fill disjoint
      *  ranges in place through mutablePacked() (the tile render
      *  engine's merge precomputes every segment's destination offset
-     *  and copies segments in parallel). */
+     *  and copies segments in parallel). Records past the old size
+     *  are not initialized: the caller writes every one of them. */
     void
     resizePacked(size_t n)
     {
@@ -126,7 +167,7 @@ class TexelTrace
     uint64_t *mutablePacked() { return records_.data(); }
 
     /** The packed records, in order (bulk copies and comparisons). */
-    const std::vector<uint64_t> &packed() const { return records_; }
+    const Records &packed() const { return records_; }
 
     size_t size() const { return records_.size(); }
     bool empty() const { return records_.empty(); }
@@ -159,7 +200,7 @@ class TexelTrace
     }
 
   private:
-    std::vector<uint64_t> records_;
+    Records records_;
 };
 
 } // namespace texcache

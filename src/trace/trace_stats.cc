@@ -1,6 +1,72 @@
 #include "trace/trace_stats.hh"
 
+#include <algorithm>
+#include <bit>
+#include <unordered_set>
+
 namespace texcache {
+
+size_t
+FlatKeySet::capacityFor(size_t n)
+{
+    return std::bit_ceil(std::max<size_t>(16, 2 * n));
+}
+
+bool
+FlatKeySet::place(uint64_t key)
+{
+    // MurmurHash3's 64-bit finalizer: every key bit reaches the low
+    // bits the slot index takes, whatever the shard hash left equal.
+    uint64_t h = key;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    size_t mask = slots_.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+        if (slots_[i] == key)
+            return false;
+        if (slots_[i] == 0) {
+            slots_[i] = key;
+            ++used_;
+            return true;
+        }
+    }
+}
+
+void
+FlatKeySet::rehash(size_t cap)
+{
+    std::vector<uint64_t> prev(cap);
+    prev.swap(slots_);
+    used_ = 0;
+    for (uint64_t key : prev)
+        if (key)
+            place(key);
+}
+
+void
+RepetitionCounter::unionShard(unsigned shard,
+                              const std::vector<const KeyBuffer *> &buffers)
+{
+    auto unite = [&](FlatKeySet &set, auto bucketOf) {
+        size_t n = 0;
+        for (const KeyBuffer *b : buffers)
+            n += bucketOf(*b).size();
+        set.reserve(n);
+        for (const KeyBuffer *b : buffers)
+            for (uint64_t key : bucketOf(*b))
+                set.insert(key);
+        set.shrinkToFit();
+    };
+    unite(unwrapped_[shard], [shard](const KeyBuffer &b) -> const auto & {
+        return b.unwrapped[shard];
+    });
+    unite(wrapped_[shard], [shard](const KeyBuffer &b) -> const auto & {
+        return b.wrapped[shard];
+    });
+}
 
 TraceStats
 analyzeTrace(const TexelTrace &trace)

@@ -17,8 +17,9 @@
 #define TEXCACHE_TRACE_TRACE_STATS_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 #include "trace/texel_trace.hh"
 
@@ -63,6 +64,60 @@ struct TraceStats
 TraceStats analyzeTrace(const TexelTrace &trace);
 
 /**
+ * Set of 64-bit keys in one flat open-addressing table: linear
+ * probing over a power-of-two capacity, grown before it is more than
+ * half full. A zero slot is empty, so key 0 - a real repetition key:
+ * texture 0, level 0, texel (0, 0) - lives in a flag of its own.
+ */
+class FlatKeySet
+{
+  public:
+    /** Add @p key; true when it was not yet in the set. */
+    bool
+    insert(uint64_t key)
+    {
+        if (key == 0) {
+            bool added = !hasZero_;
+            hasZero_ = true;
+            return added;
+        }
+        if (2 * (used_ + 1) > slots_.size())
+            rehash(capacityFor(used_ + 1));
+        return place(key);
+    }
+
+    /** Size the table so that @p n more distinct keys never grow it. */
+    void
+    reserve(size_t n)
+    {
+        size_t cap = capacityFor(used_ + n);
+        if (cap > slots_.size())
+            rehash(cap);
+    }
+
+    /** Move into the smallest table that holds the current keys
+     *  (after a reserve() sized for keys that turned out to repeat). */
+    void
+    shrinkToFit()
+    {
+        size_t cap = used_ ? capacityFor(used_) : 0;
+        if (cap < slots_.size())
+            rehash(cap);
+    }
+
+    size_t size() const { return used_ + (hasZero_ ? 1 : 0); }
+
+  private:
+    static size_t capacityFor(size_t n);
+    bool place(uint64_t key);
+    void rehash(size_t cap);
+
+    std::vector<uint64_t> slots_; ///< 0 = empty
+    size_t used_ = 0;             ///< nonzero keys in slots_
+    bool hasZero_ = false;
+};
+
+/**
  * Texture-repetition counter (section 3.1.2). The renderer feeds one
  * sample per fragment: the *unwrapped* integer texel coordinate of the
  * filter footprint alongside its wrapped counterpart. The repetition
@@ -72,12 +127,7 @@ TraceStats analyzeTrace(const TexelTrace &trace);
 class RepetitionCounter
 {
   public:
-    /**
-     * One fragment's pair of set keys. Tile-render workers buffer
-     * these in flat vectors (a push is far cheaper than a hash-set
-     * insert) and the deterministic merge replays them through
-     * insert(), so the total hashing work equals the serial path's.
-     */
+    /** One fragment's pair of set keys. */
     struct KeyPair
     {
         uint64_t unwrapped;
@@ -106,7 +156,7 @@ class RepetitionCounter
 
     /**
      * The sets are sharded by key hash so the tile render engine's
-     * merge can insert different shards from different workers
+     * merge can union different shards on different workers
      * concurrently (each shard is owned by exactly one worker, and a
      * set union is order-free). Serial users never notice: record()
      * and insert() route keys themselves.
@@ -120,6 +170,34 @@ class RepetitionCounter
         return static_cast<unsigned>((key * 0x9e3779b97f4a7c15ull) >>
                                      60);
     }
+
+    /**
+     * Keys buffered by one tile-render work unit, bucketed by shard. A
+     * push is far cheaper than a set insert, and a key equal to the
+     * last one in its bucket (neighbouring fragments often share a
+     * footprint anchor) is dropped, which halves what the merge
+     * hashes on the paper scenes.
+     */
+    struct KeyBuffer
+    {
+        std::array<std::vector<uint64_t>, kShards> unwrapped;
+        std::array<std::vector<uint64_t>, kShards> wrapped;
+
+        void
+        push(const KeyPair &k)
+        {
+            pushKey(unwrapped[shardOf(k.unwrapped)], k.unwrapped);
+            pushKey(wrapped[shardOf(k.wrapped)], k.wrapped);
+        }
+
+      private:
+        static void
+        pushKey(std::vector<uint64_t> &bucket, uint64_t key)
+        {
+            if (bucket.empty() || bucket.back() != key)
+                bucket.push_back(key);
+        }
+    };
 
     /** Record one fragment's footprint anchor for texture @p tex. */
     void
@@ -138,21 +216,14 @@ class RepetitionCounter
         wrapped_[shardOf(k.wrapped)].insert(k.wrapped);
     }
 
-    /** Bulk-insert unwrapped keys already bucketed to @p shard. Safe
-     *  to call concurrently with other shards' inserts, never with
-     *  the same shard's. */
-    void
-    insertUnwrapped(unsigned shard, const uint64_t *keys, size_t n)
-    {
-        unwrapped_[shard].insert(keys, keys + n);
-    }
-
-    /** Bulk-insert wrapped keys already bucketed to @p shard. */
-    void
-    insertWrapped(unsigned shard, const uint64_t *keys, size_t n)
-    {
-        wrapped_[shard].insert(keys, keys + n);
-    }
+    /**
+     * Union shard @p shard of every buffer in @p buffers into this
+     * counter. Each set is presized for all buffered keys, so the
+     * union never rehashes, then trimmed to its distinct keys. Safe
+     * to call concurrently for distinct shards, never for the same.
+     */
+    void unionShard(unsigned shard,
+                    const std::vector<const KeyBuffer *> &buffers);
 
     double
     repetitionFactor() const
@@ -161,23 +232,6 @@ class RepetitionCounter
         return wrapped ? static_cast<double>(uniqueUnwrapped()) /
                              static_cast<double>(wrapped)
                        : 0.0;
-    }
-
-    /**
-     * Fold another counter into this one. Both sets are plain key
-     * unions, so merging per-tile counters in any order yields exactly
-     * the counts a single serial counter would have recorded - the
-     * property the parallel tile render engine relies on.
-     */
-    void
-    merge(const RepetitionCounter &other)
-    {
-        for (unsigned s = 0; s < kShards; ++s) {
-            unwrapped_[s].insert(other.unwrapped_[s].begin(),
-                                 other.unwrapped_[s].end());
-            wrapped_[s].insert(other.wrapped_[s].begin(),
-                               other.wrapped_[s].end());
-        }
     }
 
     /** Shards hold disjoint keys, so the sizes just add up. */
@@ -200,8 +254,8 @@ class RepetitionCounter
     }
 
   private:
-    std::array<std::unordered_set<uint64_t>, kShards> unwrapped_;
-    std::array<std::unordered_set<uint64_t>, kShards> wrapped_;
+    std::array<FlatKeySet, kShards> unwrapped_;
+    std::array<FlatKeySet, kShards> wrapped_;
 };
 
 } // namespace texcache

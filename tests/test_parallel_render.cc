@@ -42,6 +42,17 @@ allOrders()
             RasterOrder::hilbertOrder()};
 }
 
+/** Tiled orders at the edges of the work-unit decomposition: tiles
+ *  that do not divide the screen, a vertical non-square tile whose
+ *  units hold two tiles, and a tile larger than the 128-px screen. */
+std::vector<RasterOrder>
+edgeTiledOrders()
+{
+    return {RasterOrder::tiledOrder(7, 5),
+            RasterOrder::tiledOrder(24, 40, ScanDirection::Vertical),
+            RasterOrder::tiledOrder(256, 256)};
+}
+
 /** Assert @p out is byte-identical to the reference output @p ref. */
 void
 expectIdentical(const RenderOutput &ref, const RenderOutput &out,
@@ -99,26 +110,34 @@ expectIdentical(const RenderOutput &ref, const RenderOutput &out,
 
 TEST(ParallelRender, QuadAllOrdersAllThreads)
 {
+    // Framebuffer renders take the scalar walkers, trace-only renders
+    // the SIMD span kernels of the dispatched ISA level.
     Scene scene = makeQuadTestScene(128, 128, 1.7f);
-    RenderOptions opts;
-    opts.captureTrace = true;
-    opts.writeFramebuffer = true;
-    opts.countRepetition = true;
+    std::vector<RasterOrder> orders = allOrders();
+    for (const RasterOrder &order : edgeTiledOrders())
+        orders.push_back(order);
+    for (bool framebuffer : {true, false}) {
+        RenderOptions opts;
+        opts.captureTrace = true;
+        opts.writeFramebuffer = framebuffer;
+        opts.countRepetition = true;
+        for (const RasterOrder &order : orders) {
+            RenderOptions serial = opts;
+            serial.parallelTiles = ParallelTiles::Serial;
+            RenderOutput ref = render(scene, order, serial);
+            EXPECT_GT(ref.stats.fragments, 0u);
 
-    for (const RasterOrder &order : allOrders()) {
-        RenderOptions serial = opts;
-        serial.parallelTiles = ParallelTiles::Serial;
-        RenderOutput ref = render(scene, order, serial);
-        EXPECT_GT(ref.stats.fragments, 0u);
-
-        for (const char *threads : {"1", "2", "4", "8"}) {
-            ThreadEnv env(threads);
-            RenderOptions forced = opts;
-            forced.parallelTiles = ParallelTiles::Force;
-            RenderOutput out = render(scene, order, forced);
-            expectIdentical(ref, out,
-                            "quad order=" + order.str() +
-                                " threads=" + threads);
+            for (const char *threads : {"1", "2", "4", "8"}) {
+                ThreadEnv env(threads);
+                RenderOptions forced = opts;
+                forced.parallelTiles = ParallelTiles::Force;
+                RenderOutput out = render(scene, order, forced);
+                expectIdentical(ref, out,
+                                "quad order=" + order.str() +
+                                    " framebuffer=" +
+                                    std::to_string(framebuffer) +
+                                    " threads=" + threads);
+            }
         }
     }
 }
@@ -192,6 +211,41 @@ TEST(ParallelRender, FourScenesTraceOnlyIsaMatrix)
                 }
             }
         }
+    }
+}
+
+/**
+ * The repetition counts of the paper scenes in their paper scan
+ * order (the section 3.1.2 factors), pinned as the unordered-set
+ * counter produced them. The identity tests above compare two
+ * renders that share RepetitionCounter, so only a pin catches a
+ * counting bug common to both paths.
+ */
+TEST(ParallelRender, PaperSceneRepetitionCountsArePinned)
+{
+    struct Pin
+    {
+        BenchScene scene;
+        uint64_t unwrapped;
+        uint64_t wrapped;
+    };
+    const Pin pins[] = {{BenchScene::Flight, 517068, 516875},
+                        {BenchScene::Town, 673774, 254672},
+                        {BenchScene::Guitar, 227352, 215895},
+                        {BenchScene::Goblet, 136578, 135678}};
+    RenderOptions opts;
+    opts.writeFramebuffer = false;
+    opts.captureTrace = false;
+    for (const Pin &pin : pins) {
+        RasterOrder order = paperScanDirection(pin.scene) ==
+                                    ScanDirection::Horizontal
+                                ? RasterOrder::horizontal()
+                                : RasterOrder::vertical();
+        RenderOutput out = render(makeScene(pin.scene), order, opts);
+        EXPECT_EQ(out.repetition.uniqueUnwrapped(), pin.unwrapped)
+            << benchSceneName(pin.scene);
+        EXPECT_EQ(out.repetition.uniqueWrapped(), pin.wrapped)
+            << benchSceneName(pin.scene);
     }
 }
 

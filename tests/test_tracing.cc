@@ -21,6 +21,8 @@
 #include "core/experiment.hh"
 #include "core/shard_replay.hh"
 #include "core/sweep.hh"
+#include "pipeline/renderer.hh"
+#include "scene/benchmarks.hh"
 #include "thread_env.hh"
 #include "timing/dram_model.hh"
 #include "tracing/tracing.hh"
@@ -484,6 +486,48 @@ TEST(Tracing, SceneBuildEmitsOneSpanPerBuild)
     }
     EXPECT_TRUE(nested);
     EXPECT_EQ(depth, 0);
+}
+
+TEST(Tracing, TileRenderEmitsSetupAndMergeSpansPerFrame)
+{
+    // The tile engine's serial front end (clip, set-up, binning) and
+    // its merge each run once per frame, inside the frame's span.
+    ThreadEnv env("4");
+    Scene scene = makeQuadTestScene(128, 128, 1.7f);
+    TracerGuard guard(kSpans, 1, 1 << 20);
+    uint16_t frame = nameId("render.frame");
+    uint16_t setup = nameId("raster.setup");
+    uint16_t merge = nameId("trace.merge");
+    for (const RasterOrder &order :
+         {RasterOrder::horizontal(), RasterOrder::tiledOrder(8, 8)}) {
+        configure({kSpans, 1, 1 << 20});
+        RenderOptions opts;
+        opts.writeFramebuffer = false;
+        opts.parallelTiles = ParallelTiles::Force;
+        render(scene, order, opts);
+
+        size_t frames = 0, setups = 0, merges = 0, outside = 0;
+        int depth = 0;
+        for (const Event &ev : snapshotEvents()) {
+            bool begin = ev.kind == uint8_t(EventKind::SpanBegin);
+            bool end = ev.kind == uint8_t(EventKind::SpanEnd);
+            if (!begin && !end)
+                continue;
+            if (ev.a == frame) {
+                depth += begin ? 1 : -1;
+                frames += begin;
+            } else if (begin && (ev.a == setup || ev.a == merge)) {
+                setups += ev.a == setup;
+                merges += ev.a == merge;
+                outside += depth != 1;
+            }
+        }
+        EXPECT_EQ(frames, 1u) << order.str();
+        EXPECT_EQ(setups, 1u) << order.str();
+        EXPECT_EQ(merges, 1u) << order.str();
+        EXPECT_EQ(outside, 0u) << order.str();
+        EXPECT_EQ(depth, 0) << order.str();
+    }
 }
 
 TEST(Tracing, BinaryLogRoundTripPreservesEverything)
