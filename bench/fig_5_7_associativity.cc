@@ -19,8 +19,9 @@
  * Each panel hands its full associativity x size grid to
  * runCacheSweep, which collapses the fully associative row into ONE
  * stack-distance pass and drives every set-associative config from
- * ONE set pass, each sharded across the sweep pool - 2 trace passes
- * instead of 40 replays per panel.
+ * ONE set pass, one LRU stack per set count (11 for the 32 configs),
+ * each sharded across the sweep pool - 2 trace passes instead of 40
+ * replays per panel.
  */
 
 #include "bench/bench_util.hh"

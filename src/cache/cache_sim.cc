@@ -16,13 +16,23 @@ CacheConfig::str() const
     return s;
 }
 
+void
+CacheConfig::validate() const
+{
+    fatal_if(!isPowerOfTwo(sizeBytes) || !isPowerOfTwo(lineBytes),
+             "cache geometry must be powers of two: ", str());
+    fatal_if(lineBytes > sizeBytes, "line larger than cache: ", str());
+    if (assoc == kFullyAssoc)
+        return;
+    fatal_if(numLines() % assoc != 0,
+             "associativity does not divide line count: ", str());
+    fatal_if(!isPowerOfTwo(numLines() / assoc),
+             "set count not a power of two: ", str());
+}
+
 CacheSim::CacheSim(const CacheConfig &config) : config_(config)
 {
-    fatal_if(!isPowerOfTwo(config.sizeBytes) ||
-                 !isPowerOfTwo(config.lineBytes),
-             "cache geometry must be powers of two: ", config.str());
-    fatal_if(config.lineBytes > config.sizeBytes,
-             "line larger than cache: ", config.str());
+    config.validate();
     lineShift_ = log2Exact(config.lineBytes);
     uint64_t lines = config.numLines();
     if (config.assoc == CacheConfig::kFullyAssoc) {
@@ -38,14 +48,8 @@ CacheSim::CacheSim(const CacheConfig &config) : config_(config)
         ways_ = static_cast<unsigned>(lines);
         setMask_ = 0;
     } else {
-        fatal_if(lines % config.assoc != 0,
-                 "associativity does not divide line count: ",
-                 config.str());
-        uint64_t sets = lines / config.assoc;
-        fatal_if(!isPowerOfTwo(sets), "set count not a power of two: ",
-                 config.str());
         ways_ = config.assoc;
-        setMask_ = sets - 1;
+        setMask_ = config.numSets() - 1;
     }
     table_.assign(config.numSets() * ways_, Way{});
 }
@@ -68,13 +72,20 @@ CacheSim::setTraceTag(uint16_t tag)
         fa_->setTraceTag(tag);
 }
 
-inline bool
-CacheSim::lookup(Way *set, uint64_t line, uint64_t tick, CacheStats &s,
-                 bool &cold)
+bool
+CacheSim::access(Addr addr)
 {
+    if (fa_)
+        return fa_->access(addr);
+    ++stats_.accesses;
+    ++tick_;
+    uint64_t line = addr >> lineShift_;
+    Way *set = &table_[(line & setMask_) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
         if (set[w].tag == line) {
-            set[w].lastUse = tick;
+            set[w].lastUse = tick_;
+            if (tracing::enabled(tracing::kTexels)) [[unlikely]]
+                tracing::cacheHit(addr, traceTag_);
             return true;
         }
     }
@@ -85,65 +96,22 @@ CacheSim::lookup(Way *set, uint64_t line, uint64_t tick, CacheStats &s,
     for (unsigned w = 1; w < ways_; ++w)
         if (set[w].lastUse < set[victim].lastUse)
             victim = w;
-    ++s.misses;
-    cold = touched_.insert(line);
+    ++stats_.misses;
+    bool cold = touched_.insert(line);
     if (cold)
-        ++s.coldMisses;
+        ++stats_.coldMisses;
     if (set[victim].tag != kInvalid)
-        ++s.evictions;
+        ++stats_.evictions;
     set[victim].tag = line;
-    set[victim].lastUse = tick;
-    return false;
-}
-
-bool
-CacheSim::access(Addr addr)
-{
-    if (fa_)
-        return fa_->access(addr);
-    ++stats_.accesses;
-    uint64_t line = addr >> lineShift_;
-    bool cold = false;
-    bool hit = lookup(&table_[(line & setMask_) * ways_], line, ++tick_,
-                      stats_, cold);
-    if (hit) {
-        if (tracing::enabled(tracing::kTexels)) [[unlikely]]
-            tracing::cacheHit(addr, traceTag_);
-    } else if (tracing::enabled(tracing::kMisses | tracing::kTexels))
+    set[victim].lastUse = tick_;
+    if (tracing::enabled(tracing::kMisses | tracing::kTexels))
         [[unlikely]] {
         tracing::cacheMiss(addr,
                            cold ? tracing::MissClass::Cold
                                 : tracing::MissClass::Other,
                            traceTag_);
     }
-    return hit;
-}
-
-void
-CacheSim::accessRange(const Addr *a, size_t n)
-{
-    if (fa_ || (traceTag_ != tracing::kTagSilent &&
-                tracing::enabled(tracing::kMisses | tracing::kTexels))) {
-        for (size_t i = 0; i < n; ++i)
-            access(a[i]);
-        return;
-    }
-    // Locals, not members: stores into the way table could alias the
-    // members, which would force reloading them on every access.
-    Way *table = table_.data();
-    const unsigned shift = lineShift_;
-    const uint64_t mask = setMask_;
-    const unsigned ways = ways_;
-    CacheStats s = stats_;
-    uint64_t tick = tick_;
-    for (size_t i = 0; i < n; ++i) {
-        uint64_t line = a[i] >> shift;
-        bool cold = false;
-        lookup(table + (line & mask) * ways, line, ++tick, s, cold);
-    }
-    s.accesses += n;
-    stats_ = s;
-    tick_ = tick;
+    return false;
 }
 
 void

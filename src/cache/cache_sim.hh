@@ -49,6 +49,11 @@ struct CacheConfig
 
     /** Short display string like "32KB/64B/2way". */
     std::string str() const;
+
+    /** fatal()s unless this is a cache the simulators model: powers
+     *  of two, a line no larger than the cache, and a power-of-two
+     *  number of whole sets. */
+    void validate() const;
 };
 
 /** Hit/miss counters accumulated over a run. */
@@ -98,17 +103,6 @@ class CacheSim
     /** Simulate one byte access; returns true on hit. */
     bool access(Addr addr);
 
-    /**
-     * Simulate @p n accesses in order, leaving the same statistics and
-     * contents as access() on each. The large fully associative
-     * delegation and the miss/texel trace gate are checked once per
-     * range; when either holds the range falls back to access() per
-     * address (so trace events are unchanged), otherwise the LRU scan
-     * runs inline with the counters kept in locals. A kTagSilent sim
-     * records nothing, so it skips the trace gate.
-     */
-    void accessRange(const Addr *a, size_t n);
-
     /** Reset contents and statistics. */
     void reset();
 
@@ -137,16 +131,6 @@ class CacheSim
         uint64_t lastUse = 0;
     };
     static constexpr uint64_t kInvalid = ~0ULL;
-
-    /**
-     * The LRU scan shared by access() and accessRange(): find @p line
-     * in @p set (its row of the way table), or fill the set's least
-     * recently used way. Counts misses, cold misses and evictions into
-     * @p s (not accesses) and sets @p cold on a first touch. Returns
-     * true on a hit.
-     */
-    bool lookup(Way *set, uint64_t line, uint64_t tick, CacheStats &s,
-                bool &cold);
 
     CacheConfig config_;
     unsigned lineShift_;

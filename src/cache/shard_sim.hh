@@ -13,6 +13,9 @@
  *    equals the serial run exactly - including evictions and cold
  *    misses. The stream is decoded once and scattered by a shard key
  *    into per-shard buckets, so each shard touches 1/S of it.
+ *    Configurations that share a line size and a set count also share
+ *    one move-to-front stack per set, which yields every way count at
+ *    once.
  *
  *  - Time partitioning (StackSegmentPass + mergeStackShards), for the
  *    fully associative stack-distance profile, in the style of PARDA
@@ -44,30 +47,45 @@
 #include <vector>
 
 #include "cache/cache_sim.hh"
+#include "cache/line_table.hh"
 #include "cache/stack_dist.hh"
 
 namespace texcache {
 
 /**
- * A simulation of a group of configurations whose sets are split
- * into @p shards shards, fed by decode-once scatter.
+ * A simulation of a list of set-associative configurations whose sets
+ * are split into @p shards shards, fed by decode-once scatter.
+ *
+ * Configurations that share a line size and a set count form a group
+ * and share one stack sim. With the set index fixed, every way count
+ * is LRU over the same per-set stream, so inclusion holds set by set
+ * (Mattson et al. 1970; Hill and Smith, IEEE TC 1989): a set of a
+ * w-way cache holds the w most recent distinct lines of that set. One
+ * move-to-front stack per set, as deep as the group's widest member,
+ * therefore holds every member's contents at once, and a histogram of
+ * the stack position each access hits at gives every member's stats:
+ * hits at w ways are hist[0, w), misses are accesses - hits, cold
+ * misses are the distinct lines (a first touch misses at every depth,
+ * so the first-touch set is probed only on a miss at full depth), and
+ * evictions are misses - the sum over the sets of min(w, lines the
+ * set holds), since a flush-free set fills one way per miss until it
+ * is full.
  *
  * The stream arrives as spans (one per trace chunk). scatter() splits
  * a span's addresses, once per distinct line size, into K buckets by
  * the shard key (addr >> lineShift) & (K - 1), where K is the smallest
  * power of two >= shards; bucket b belongs to shard b % shards. A
- * configuration with at least K sets (that is, at least as many sets
- * as shards) is split across every shard: its set count is a multiple
- * of K, so the key is a function of its set index and every set falls
- * in one bucket. It gets one sim per shard, and shard k's sim sees
- * only the buckets k owns. A configuration with fewer sets than
- * shards (fully associative ones included) gets one sim that reads
- * whole spans; its statistics count as shard 0's.
+ * group with at least K sets (that is, at least as many sets as
+ * shards) is split across every shard: its set count is a multiple of
+ * K, so the key is a function of its set index and every set falls in
+ * one bucket. It gets one sim per shard, and shard k's sim sees only
+ * the buckets k owns. A group with fewer sets than shards gets one sim
+ * that reads whole spans; its statistics count as shard 0's.
  *
  * Every sim owns its state, so the sims of a window may replay in any
  * order and on any worker, as long as each sees the windows in stream
  * order. Within a span a sim's buckets may be fed in any order, since
- * they hold disjoint sets.
+ * they hold disjoint sets. No sim records trace events.
  */
 class SetShardSim
 {
@@ -83,11 +101,13 @@ class SetShardSim
         /** Bucket b of line size l is byKey[l * n + start[l * (K + 1)
          *  + b], l * n + start[l * (K + 1) + b + 1]). */
         std::vector<size_t> start;
+        std::vector<size_t> next; ///< scatter() scratch
     };
 
     /** @p shards >= 1; shard count and thread count are independent.
-     *  At one shard the sims record trace events as lone caches; at
-     *  more they are silent. */
+     *  A fully associative configuration counts as one set as deep as
+     *  its lines, exact but slow; the replay engine serves those by
+     *  stack passes instead. */
     SetShardSim(const std::vector<CacheConfig> &configs, unsigned shards);
 
     /** Fill @p span.byKey and @p span.start from @p span.addrs.
@@ -95,9 +115,10 @@ class SetShardSim
     void scatter(Span &span) const;
 
     /** Number of sims. Their indices run longest first: by the share
-     *  of the buckets a sim reads times its ways (whole-span sims read
-     *  all K), then by fewer sets. The order depends only on the
-     *  configurations, not on their position in the list. */
+     *  of the buckets a sim reads times its stack depth (whole-span
+     *  sims read all K), then by fewer sets and smaller lines. The
+     *  order depends only on the groups, not on the configurations'
+     *  positions in the list. */
     size_t sims() const { return sims_.size(); }
 
     /** Feed sim @p sim its part of @p spans[0, @p n), in stream order.
@@ -116,18 +137,39 @@ class SetShardSim
 
   private:
     static constexpr size_t kWholeSpans = ~size_t(0);
+    /** Pads a stack below its fill; never a line address. */
+    static constexpr uint64_t kEmpty = ~uint64_t(0);
 
-    struct Member
+    /** Configurations sharing a line size and a set count. */
+    struct Group
     {
-        CacheSim sim;
-        size_t config;  ///< position in the constructor's list
-        size_t lineKey; ///< index into lineShifts_, or kWholeSpans
-        unsigned shard; ///< owner of the buckets it reads
+        unsigned lineShift;
+        uint64_t sets;
+        unsigned depth;              ///< ways of the widest member
+        std::vector<size_t> members; ///< positions in the list
     };
 
-    std::vector<Member> sims_;         ///< longest first
+    /** One group's stacks for the sets of one shard. */
+    struct StackSim
+    {
+        size_t group;
+        size_t lineKey; ///< index into lineShifts_, or kWholeSpans
+        unsigned shard; ///< owner of the buckets it reads
+        /** sets x depth line addresses, most recent first, kEmpty
+         *  below each set's fill. */
+        std::vector<uint64_t> stacks;
+        std::vector<uint64_t> hist; ///< hits by stack position
+        uint64_t accesses = 0;
+        LineSet touched; ///< every line seen
+    };
+
+    void access(StackSim &sim, const Addr *a, size_t n) const;
+    void addStats(const StackSim &sim, std::vector<CacheStats> &out) const;
+
+    std::vector<CacheConfig> configs_;
+    std::vector<Group> groups_;
+    std::vector<StackSim> sims_;       ///< longest first
     std::vector<unsigned> lineShifts_; ///< scattered line sizes
-    size_t configs_;
     unsigned shards_;
     unsigned keys_; ///< K: buckets per line size
 };

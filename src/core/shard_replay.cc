@@ -85,20 +85,23 @@ stackPass(const TraceSource &src, const SceneLayout &layout,
 
 /**
  * Set-partitioned pass: the stream is decoded once and every shard
- * simulates only its own sets (SetShardSim). It runs in windows of
- * chunks, each in two fork-join steps on the sweep pool: one task per
- * chunk maps the chunk and scatters it into per-shard buckets, then
- * one worker per shard replays the window's sims, each claiming the
- * next unreplayed sim, longest first, until none is left. Claiming
- * keeps the workers evenly loaded whatever each sim costs, and no more
- * than @p shards sims run at once. Neither step needs all shards live
- * at once, so any shard count runs on any pool.
+ * simulates only its own sets (SetShardSim), one stack sim per group
+ * of configurations sharing a line size and a set count. It runs in
+ * windows of chunks, each in two fork-join steps on the sweep pool:
+ * one task per chunk maps the chunk and scatters it into per-shard
+ * buckets (a "layout.map" span per window), then one worker per shard
+ * replays the window's sims, each claiming the next unreplayed sim,
+ * longest first, until none is left. Claiming keeps the workers evenly
+ * loaded whatever each sim costs, and no more than @p shards sims run
+ * at once. Neither step needs all shards live at once, so any shard
+ * count runs on any pool.
  */
 std::vector<CacheStats>
 setPass(const TraceSource &src, const SceneLayout &layout,
         const std::vector<CacheConfig> &configs, unsigned shards)
 {
     static const uint16_t kSpan = tracing::nameId("sim.sa");
+    static const uint16_t kMapSpan = tracing::nameId("layout.map");
     tracing::ScopedSpan span(kSpan, configs.size());
     perf::addSimulatedAccesses(src.records());
     SetShardSim sim(configs, shards);
@@ -121,15 +124,19 @@ setPass(const TraceSource &src, const SceneLayout &layout,
     for (uint64_t c0 = 0; c0 < chunks; c0 += window) {
         std::vector<uint64_t> slots(std::min(window, chunks - c0));
         std::iota(slots.begin(), slots.end(), uint64_t(0));
-        Sweep::run(slots, [&](uint64_t i) {
-            SetShardSim::Span &span = spans[i];
-            src.visitChunks(c0 + i, c0 + i + 1,
-                            [&](const uint64_t *recs, size_t n) {
-                                layout.mapPacked(recs, n, span.addrs);
-                            });
-            sim.scatter(span);
-            return true;
-        });
+        {
+            tracing::ScopedSpan map(kMapSpan,
+                                    src.records(c0, c0 + slots.size()));
+            Sweep::run(slots, [&](uint64_t i) {
+                SetShardSim::Span &span = spans[i];
+                src.visitChunks(c0 + i, c0 + i + 1,
+                                [&](const uint64_t *recs, size_t n) {
+                                    layout.mapPacked(recs, n, span.addrs);
+                                });
+                sim.scatter(span);
+                return true;
+            });
+        }
         std::atomic<size_t> next{0};
         Sweep::run(workers, [&](unsigned) {
             for (;;) {
@@ -141,6 +148,30 @@ setPass(const TraceSource &src, const SceneLayout &layout,
         });
     }
     return sim.stats();
+}
+
+/**
+ * Traced replay: one CacheSim per configuration, fed the stream in
+ * order, so each records its events as a lone cache does.
+ */
+std::vector<CacheStats>
+tracedPass(const TraceSource &src, const SceneLayout &layout,
+           const std::vector<CacheConfig> &configs)
+{
+    static const uint16_t kSpan = tracing::nameId("sim.sa");
+    tracing::ScopedSpan span(kSpan, configs.size());
+    perf::addSimulatedAccesses(src.records());
+    std::vector<CacheSim> sims(configs.begin(), configs.end());
+    replaySegment(src, layout, 0, src.chunkCount(),
+                  [&](const Addr *a, size_t n) {
+                      for (CacheSim &sim : sims)
+                          for (size_t i = 0; i < n; ++i)
+                              sim.access(a[i]);
+                  });
+    std::vector<CacheStats> out;
+    for (const CacheSim &sim : sims)
+        out.push_back(sim.stats());
+    return out;
 }
 
 /**
@@ -179,7 +210,7 @@ runCacheSharded(const TraceSource &src, const SceneLayout &layout,
     // Traced, one configuration is one CacheSim replaying the stream
     // in order, fully associative too, so it records its misses.
     if (traced())
-        return setPass(src, layout, {config}, 1)[0];
+        return tracedPass(src, layout, {config})[0];
     return runCacheSweepSharded(src, layout, {config}, shards)[0];
 }
 
@@ -258,7 +289,8 @@ runCacheSweepSharded(const TraceSource &src, const SceneLayout &layout,
     if (!sa.empty())
         passes.emplace_back([&] {
             std::vector<CacheStats> stats =
-                setPass(src, layout, sa, shards);
+                shards == 1 && traced() ? tracedPass(src, layout, sa)
+                                        : setPass(src, layout, sa, shards);
             for (size_t k = 0; k < sa_idx.size(); ++k)
                 out[sa_idx[k]] = stats[k];
         });

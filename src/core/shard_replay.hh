@@ -13,13 +13,15 @@
  *
  *  - set-associative configurations share one set pass ("sim.sa"
  *    span): the stream is decoded once, in windows of chunks mapped
- *    in parallel; each address is scattered by its shard key,
- *    (addr >> lineShift) & (K - 1) with K the smallest power of two
- *    >= shards, into per-shard buckets, and each shard simulates only
- *    its own sets' accesses. Configurations with fewer sets than
- *    shards read the whole window in one sim, so they stay exact.
- *    Workers claim the sims of a window one at a time, longest first,
- *    so uneven sims still load them evenly;
+ *    in parallel (a "layout.map" span per window); each address is
+ *    scattered by its shard key, (addr >> lineShift) & (K - 1) with K
+ *    the smallest power of two >= shards, into per-shard buckets, and
+ *    each shard simulates only its own sets' accesses. Configurations
+ *    that share a line size and a set count share one stack sim per
+ *    shard, which yields every way count at once. A group with fewer
+ *    sets than shards reads the whole window in one sim, so it stays
+ *    exact. Workers claim the sims of a window one at a time, longest
+ *    first, so uneven sims still load them evenly;
  *  - fully associative configurations get one stack pass per line
  *    size ("sim.fa" span): the chunk range is cut into contiguous
  *    segments profiled independently and reconciled exactly.
@@ -29,10 +31,12 @@
  * run in turn.
  *
  * Under miss or texel tracing a call replays in stream order so its
- * simulators record their events: the default shard count is one,
- * runCacheSharded replays one CacheSim (fully associative ones too)
- * and classifySharded one MissClassifier. Split set shards, at an
- * explicit count above one, stay silent; stack passes record none.
+ * simulators record their events: the default shard count is one, at
+ * which each set-associative configuration replays one CacheSim
+ * instead of the set pass (runCacheSharded does so for any
+ * configuration, fully associative ones too) and classifySharded one
+ * MissClassifier. The set pass records no events, so neither do set
+ * shards at an explicit count above one; stack passes record none.
  *
  * All runners return statistics bit-identical to the plain
  * per-address simulators for every shard count (the decompositions

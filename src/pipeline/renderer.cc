@@ -72,6 +72,7 @@ renderReference(const Scene &scene, const RasterOrder &order,
     tracing::ScopedSpan span(kRenderSpan, scene.triangles.size());
 
     RenderOutput out;
+    RepetitionCounter repetition;
     if (opts.writeFramebuffer)
         out.framebuffer = Image(scene.screenW, scene.screenH,
                                 Rgba8{16, 16, 32, 255});
@@ -185,7 +186,7 @@ renderReference(const Scene &scene, const RasterOrder &order,
                         float sv = frag.v * li.height() - 0.5f;
                         int32_t iu = static_cast<int32_t>(std::floor(su));
                         int32_t iv = static_cast<int32_t>(std::floor(sv));
-                        out.repetition.record(
+                        repetition.record(
                             tri.texture, static_cast<uint16_t>(lvl), iu,
                             iv, s.touches[0].u, s.touches[0].v);
                     }
@@ -220,6 +221,7 @@ renderReference(const Scene &scene, const RasterOrder &order,
             static_cast<double>(out.stats.fragments - covered_before);
     }
 
+    out.repetition = repetition.counts();
     return out;
 }
 

@@ -67,7 +67,8 @@ struct RenderOutput
 {
     Image framebuffer;
     TexelTrace trace;
-    RepetitionCounter repetition;
+    /** Section 3.1.2 repetition; the key sets die with the render. */
+    RepetitionCounts repetition;
     RenderStats stats;
 };
 

@@ -663,8 +663,10 @@ renderTiled(const Scene &scene, const RasterOrder &order,
     // Repetition-set union, one counter shard per sweep point. Each
     // shard's set is touched by exactly one worker and a union yields
     // the same set in any insertion order, so this is both race-free
-    // and identical to the serial insert sequence.
+    // and identical to the serial insert sequence. Only the counts
+    // outlive it.
     if (opts.countRepetition && !results.empty()) {
+        RepetitionCounter repetition;
         std::vector<const RepetitionCounter::KeyBuffer *> buffers;
         buffers.reserve(results.size());
         for (const auto &r : results)
@@ -673,9 +675,10 @@ renderTiled(const Scene &scene, const RasterOrder &order,
         for (unsigned s = 0; s < RepetitionCounter::kShards; ++s)
             shards[s] = s;
         Sweep::run(shards, [&](unsigned s) -> int {
-            out.repetition.unionShard(s, buffers);
+            repetition.unionShard(s, buffers);
             return 0;
         });
+        out.repetition = repetition.counts();
     }
 
     // The trace is order-sensitive: the serial renderer is triangle-

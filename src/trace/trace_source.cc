@@ -31,6 +31,17 @@ MemoryTraceSource::chunkCount() const
     return perFrame_ * frames_;
 }
 
+uint64_t
+MemoryTraceSource::records(uint64_t begin, uint64_t end) const
+{
+    uint64_t n = 0;
+    for (uint64_t c = begin; c < end; ++c)
+        n += std::min<uint64_t>(chunkRecords_,
+                                trace_.size() -
+                                    c % perFrame_ * chunkRecords_);
+    return n;
+}
+
 void
 MemoryTraceSource::visitChunks(
     uint64_t begin, uint64_t end,
@@ -65,6 +76,17 @@ uint64_t
 FileTraceSource::chunkCount() const
 {
     return file_.info().chunks() * frames_;
+}
+
+uint64_t
+FileTraceSource::records(uint64_t begin, uint64_t end) const
+{
+    const uint64_t per_frame = file_.info().chunks();
+    const uint64_t size = file_.info().chunkRecords;
+    uint64_t n = 0;
+    for (uint64_t c = begin; c < end; ++c)
+        n += std::min(size, file_.info().records - c % per_frame * size);
+    return n;
 }
 
 void

@@ -46,6 +46,9 @@ class TraceSource
     /** Total logical chunks (frame replication folded in). */
     virtual uint64_t chunkCount() const = 0;
 
+    /** Records in chunks [begin, end). */
+    virtual uint64_t records(uint64_t begin, uint64_t end) const = 0;
+
     /** Stream chunks [begin, end) in order: fn(records, count). */
     virtual void
     visitChunks(uint64_t begin, uint64_t end,
@@ -64,6 +67,7 @@ class MemoryTraceSource final : public TraceSource
 
     uint64_t records() const override;
     uint64_t chunkCount() const override;
+    uint64_t records(uint64_t begin, uint64_t end) const override;
     void visitChunks(uint64_t begin, uint64_t end,
                      const std::function<void(const uint64_t *, size_t)>
                          &fn) const override;
@@ -86,6 +90,7 @@ class FileTraceSource final : public TraceSource
 
     uint64_t records() const override;
     uint64_t chunkCount() const override;
+    uint64_t records(uint64_t begin, uint64_t end) const override;
     void visitChunks(uint64_t begin, uint64_t end,
                      const std::function<void(const uint64_t *, size_t)>
                          &fn) const override;

@@ -117,6 +117,25 @@ class FlatKeySet
     bool hasZero_ = false;
 };
 
+/** The distinct-key counts of a RepetitionCounter: all a render keeps
+ *  of it once its key sets are done with. */
+struct RepetitionCounts
+{
+    uint64_t unwrapped = 0;
+    uint64_t wrapped = 0;
+
+    uint64_t uniqueUnwrapped() const { return unwrapped; }
+    uint64_t uniqueWrapped() const { return wrapped; }
+
+    double
+    repetitionFactor() const
+    {
+        return wrapped ? static_cast<double>(unwrapped) /
+                             static_cast<double>(wrapped)
+                       : 0.0;
+    }
+};
+
 /**
  * Texture-repetition counter (section 3.1.2). The renderer feeds one
  * sample per fragment: the *unwrapped* integer texel coordinate of the
@@ -225,14 +244,13 @@ class RepetitionCounter
     void unionShard(unsigned shard,
                     const std::vector<const KeyBuffer *> &buffers);
 
-    double
-    repetitionFactor() const
+    RepetitionCounts
+    counts() const
     {
-        uint64_t wrapped = uniqueWrapped();
-        return wrapped ? static_cast<double>(uniqueUnwrapped()) /
-                             static_cast<double>(wrapped)
-                       : 0.0;
+        return {uniqueUnwrapped(), uniqueWrapped()};
     }
+
+    double repetitionFactor() const { return counts().repetitionFactor(); }
 
     /** Shards hold disjoint keys, so the sizes just add up. */
     uint64_t

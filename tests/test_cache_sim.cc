@@ -2,13 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <string>
-#include <vector>
-
 #include "cache/cache_sim.hh"
 #include "common/rng.hh"
-#include "tracing/tracing.hh"
 
 using namespace texcache;
 
@@ -212,119 +207,3 @@ TEST(FullyAssocLru, FlushInvalidatesButKeepsColdTracking)
     EXPECT_EQ(c.stats().coldMisses, 2u);
     EXPECT_EQ(c.stats().misses, 4u);
 }
-
-namespace {
-
-/** A texture-like stream: a random walk with occasional jumps, over a
- *  footprint a few times the cache's so all three miss kinds occur. */
-std::vector<Addr>
-walkStream(uint64_t seed, size_t n, uint64_t footprint)
-{
-    Rng rng(seed);
-    std::vector<Addr> a;
-    a.reserve(n);
-    uint64_t cursor = 0;
-    for (size_t i = 0; i < n; ++i) {
-        if (rng.below(100) < 5)
-            cursor = rng.below(footprint);
-        else
-            cursor = (cursor + rng.below(256)) % footprint;
-        a.push_back(cursor);
-    }
-    return a;
-}
-
-/** Feed @p a through accessRange in uneven spans, empty ones too. */
-void
-feedUnevenSpans(CacheSim &sim, const std::vector<Addr> &a, uint64_t seed)
-{
-    Rng rng(seed);
-    for (size_t i = 0; i < a.size();) {
-        size_t take = std::min<size_t>(a.size() - i, rng.below(700));
-        sim.accessRange(a.data() + i, take);
-        i += take;
-    }
-}
-
-void
-expectSameStats(const CacheStats &got, const CacheStats &want)
-{
-    EXPECT_EQ(got.accesses, want.accesses);
-    EXPECT_EQ(got.misses, want.misses);
-    EXPECT_EQ(got.coldMisses, want.coldMisses);
-    EXPECT_EQ(got.evictions, want.evictions);
-}
-
-} // namespace
-
-/**
- * Property: the batched accessRange kernel is indistinguishable from
- * per-address access() - the same statistics, the same table state
- * (a per-address tail afterwards hits and misses alike) and, with
- * miss and texel tracing armed, the same recorded events. Covers the
- * way scan from direct-mapped to 8-way, a small fully associative
- * config (64 lines, still the way scan) and a large one (256 lines,
- * the FullyAssocLru delegation).
- */
-class RangeKernel : public ::testing::TestWithParam<CacheConfig>
-{};
-
-TEST_P(RangeKernel, MatchesPerAddressAccess)
-{
-    const CacheConfig c = GetParam();
-    std::vector<Addr> a = walkStream(c.sizeBytes + c.assoc, 40000,
-                                     c.sizeBytes * 4);
-    CacheSim ref(c), batched(c);
-    for (Addr x : a)
-        ref.access(x);
-    feedUnevenSpans(batched, a, 17);
-    expectSameStats(batched.stats(), ref.stats());
-    ASSERT_GT(ref.stats().misses - ref.stats().coldMisses, 0u);
-
-    for (Addr x : walkStream(99, 5000, c.sizeBytes * 4))
-        ASSERT_EQ(batched.access(x), ref.access(x));
-    expectSameStats(batched.stats(), ref.stats());
-}
-
-TEST_P(RangeKernel, TracedRangeRecordsTheSameEvents)
-{
-    const CacheConfig c = GetParam();
-    std::vector<Addr> a = walkStream(7, 6000, c.sizeBytes * 4);
-    auto record = [&](bool batched) {
-        tracing::configure({tracing::kMisses | tracing::kTexels, 1,
-                            1 << 16});
-        CacheSim sim(c);
-        if (batched)
-            feedUnevenSpans(sim, a, 3);
-        else
-            for (Addr x : a)
-                sim.access(x);
-        std::vector<tracing::Event> evs = tracing::snapshotEvents();
-        tracing::configure({0, 1, 1 << 16});
-        return evs;
-    };
-    std::vector<tracing::Event> want = record(false);
-    std::vector<tracing::Event> got = record(true);
-    ASSERT_GE(want.size(), a.size());
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].kind, want[i].kind) << "event " << i;
-        EXPECT_EQ(got[i].addr, want[i].addr) << "event " << i;
-        EXPECT_EQ(got[i].cls, want[i].cls) << "event " << i;
-        EXPECT_EQ(got[i].tag, want[i].tag) << "event " << i;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Configs, RangeKernel,
-    ::testing::Values(CacheConfig{4096, 32, 1}, CacheConfig{4096, 32, 2},
-                      CacheConfig{8192, 64, 4}, CacheConfig{8192, 32, 8},
-                      CacheConfig{2048, 32, CacheConfig::kFullyAssoc},
-                      CacheConfig{8192, 32, CacheConfig::kFullyAssoc}),
-    [](const ::testing::TestParamInfo<CacheConfig> &info) {
-        std::string name = info.param.str();
-        for (char &ch : name)
-            if (!std::isalnum(static_cast<unsigned char>(ch)))
-                ch = '_';
-        return name;
-    });

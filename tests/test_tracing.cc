@@ -366,7 +366,8 @@ TEST(Tracing, NestedSweepsRecordOnOneRingPerPoolThread)
 TEST(Tracing, SweepPassesEmitSimStageSpans)
 {
     // One set pass for every set-associative config, one stack pass
-    // per fully associative line size.
+    // per fully associative line size, and a layout.map span per
+    // window of the set pass.
     TracerGuard guard(kSpans);
     TraceStore store;
     SceneSpec quad = SceneSpec::quadScene(64, 128);
@@ -393,6 +394,43 @@ TEST(Tracing, SweepPassesEmitSimStageSpans)
     EXPECT_EQ(fa_spans, 2u);
     EXPECT_EQ(eventsOfKind(evs, EventKind::SpanEnd).size(),
               eventsOfKind(evs, EventKind::SpanBegin).size());
+
+    // The set pass maps and scatters each window under a layout.map
+    // span nested in its sim.sa, whose items are the window's records:
+    // a stream of two windows or more gets one per window, an empty
+    // stream none.
+    ThreadEnv env("4");
+    uint16_t map = nameId("layout.map");
+    const unsigned shards = 2;
+    const uint64_t frames =
+        2 * shards * (uint64_t(1) << 18) / trace.size() + 1;
+    const TexelTrace empty;
+    for (const TexelTrace *t : {&trace, &empty}) {
+        MemoryTraceSource src(*t, frames);
+        configure({kSpans, 1, 1 << 20});
+        runCacheSweepSharded(src, layout, {{4 << 10, 32, 1}}, shards);
+        size_t maps = 0, outside = 0;
+        uint64_t items = 0;
+        int depth = 0;
+        for (const Event &ev : snapshotEvents()) {
+            bool begin = ev.kind == uint8_t(EventKind::SpanBegin);
+            bool end = ev.kind == uint8_t(EventKind::SpanEnd);
+            if (ev.a == sa && (begin || end)) {
+                depth += begin ? 1 : -1;
+            } else if (ev.a == map && begin) {
+                ++maps;
+                items += ev.addr;
+                outside += depth != 1;
+            }
+        }
+        EXPECT_EQ(depth, 0);
+        EXPECT_EQ(outside, 0u);
+        EXPECT_EQ(items, src.records());
+        if (t == &empty)
+            EXPECT_EQ(maps, 0u);
+        else
+            EXPECT_GE(maps, 2u);
+    }
 }
 
 TEST(Tracing, TracedRunnersRecordTheirMisses)
