@@ -27,6 +27,7 @@
 #include "core/sweep.hh"
 #include "img/procedural.hh"
 #include "pipeline/renderer.hh"
+#include "pipeline/tile_render.hh"
 #include "raster/rasterizer.hh"
 #include "raster/span_rasterizer.hh"
 #include "scene/benchmarks.hh"
@@ -219,15 +220,16 @@ traceGenWorkload()
     for (BenchScene s : allBenchScenes())
         runs.push_back({s, makeScene(s), benchutil::sceneOrder(s)});
 
-    auto renderAll = [&](ParallelTiles mode) {
+    using Renderer = RenderOutput (*)(const Scene &, const RasterOrder &,
+                                      const RenderOptions &);
+    auto renderAll = [&](Renderer renderer) {
         std::vector<RenderOutput> outs;
         outs.reserve(runs.size());
         auto t0 = std::chrono::steady_clock::now();
         for (const Run &r : runs) {
             RenderOptions opts;
             opts.writeFramebuffer = false;
-            opts.parallelTiles = mode;
-            outs.push_back(render(r.scene, r.order, opts));
+            outs.push_back(renderer(r.scene, r.order, opts));
         }
         double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
@@ -235,7 +237,7 @@ traceGenWorkload()
         return std::make_pair(std::move(outs), ms);
     };
 
-    auto [ref, refMs] = renderAll(ParallelTiles::Serial);
+    auto [ref, refMs] = renderAll(renderReference);
 
     const simd::Isa isa = simd::activeIsa();
     std::vector<RenderOutput> scalarOut, engine1, engineN;
@@ -249,21 +251,21 @@ traceGenWorkload()
         // kernel hot-loop ratio from spanKernelSpeedup()).
         ThreadEnvOverride one("1");
         simd::setActiveIsa(simd::Isa::Scalar);
-        auto r = renderAll(ParallelTiles::Force);
+        auto r = renderAll(renderTiled);
         simd::setActiveIsa(isa);
         scalarOut = std::move(r.first);
         scalarMs = r.second;
     }
     {
         ThreadEnvOverride one("1");
-        auto r = renderAll(ParallelTiles::Force);
+        auto r = renderAll(renderTiled);
         engine1 = std::move(r.first);
         engine1Ms = r.second;
     }
     {
         ThreadEnvOverride n(nThreads.c_str());
         parThreads = Sweep::threadCount();
-        auto r = renderAll(ParallelTiles::Force);
+        auto r = renderAll(renderTiled);
         engineN = std::move(r.first);
         engineNMs = r.second;
     }

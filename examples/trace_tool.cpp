@@ -4,17 +4,22 @@
  *
  * Mirrors the paper's methodology split: capture the texel-coordinate
  * trace of a benchmark frame once, then sweep cache organizations over
- * the saved trace without re-rendering.
+ * the saved trace without re-rendering. Traces are chunked .ctrace
+ * files (trace/chunked_trace.hh): `capture` streams the render to disk
+ * and `replay` streams the file through the replay engine, so neither
+ * holds the trace in memory.
  *
  * Usage:
- *   trace_tool capture <scene> <out.trc> [horizontal|vertical]
- *   trace_tool stats   <in.trc>
- *   trace_tool replay  <scene> <in.trc> <size_bytes> <line_bytes>
+ *   trace_tool capture <scene> <out.ctrace> [horizontal|vertical]
+ *   trace_tool stats   <in.ctrace>
+ *   trace_tool replay  <scene> <in.ctrace> <size_bytes> <line_bytes>
  *                      <assoc|full>
  *
  * `replay` needs the scene name again because the trace stores texel
  * coordinates, not addresses: the memory representation (here: the
- * paper's padded blocked layout) is applied at replay time.
+ * paper's padded blocked layout) is applied at replay time. A file the
+ * chunked reader rejects makes `stats` and `replay` exit non-zero with
+ * the reader's "offset N: reason".
  */
 
 #include <cstdlib>
@@ -23,7 +28,9 @@
 
 #include "common/table.hh"
 #include "core/experiment.hh"
-#include "trace/trace_io.hh"
+#include "core/shard_replay.hh"
+#include "trace/chunked_trace.hh"
+#include "trace/trace_source.hh"
 #include "trace/trace_stats.hh"
 
 using namespace texcache;
@@ -34,10 +41,10 @@ namespace {
 usage()
 {
     std::cerr << "usage:\n"
-                 "  trace_tool capture <scene> <out.trc> "
+                 "  trace_tool capture <scene> <out.ctrace> "
                  "[horizontal|vertical]\n"
-                 "  trace_tool stats <in.trc>\n"
-                 "  trace_tool replay <scene> <in.trc> <size> <line> "
+                 "  trace_tool stats <in.ctrace>\n"
+                 "  trace_tool replay <scene> <in.ctrace> <size> <line> "
                  "<assoc|full>\n"
                  "scenes: flight town guitar goblet\n";
     std::exit(1);
@@ -73,19 +80,28 @@ main(int argc, char **argv)
         RasterOrder order;
         if (argc > 4 && std::string(argv[4]) == "vertical")
             order.dir = ScanDirection::Vertical;
+        ChunkedTraceWriter writer(argv[3]);
         RenderOptions opts;
         opts.writeFramebuffer = false;
-        RenderOutput out = render(scene, order, opts);
-        writeTrace(out.trace, argv[3]);
-        std::cout << "captured " << out.trace.size() << " texel "
+        opts.countRepetition = false;
+        opts.traceSink = &writer;
+        render(scene, order, opts);
+        writer.finalize();
+        std::cout << "captured " << writer.written() << " texel "
                   << "accesses from " << scene.name << " to " << argv[3]
                   << "\n";
         return 0;
     }
 
     if (cmd == "stats") {
-        TexelTrace trace = readTrace(argv[2]);
-        TraceStats stats = analyzeTrace(trace);
+        ChunkedTraceFile file;
+        TraceFileError err;
+        if (!file.open(argv[2], err)) {
+            std::cerr << "trace_tool: " << argv[2] << ": " << err.str()
+                      << "\n";
+            return 1;
+        }
+        TraceStats stats = analyzeTrace(file.readAll());
         TextTable table("trace statistics");
         table.header({"Metric", "Value"});
         table.row({"accesses", std::to_string(stats.accesses)});
@@ -108,7 +124,7 @@ main(int argc, char **argv)
         if (argc < 7)
             usage();
         Scene scene = makeScene(parseScene(argv[2]));
-        TexelTrace trace = readTrace(argv[3]);
+        FileTraceSource src(argv[3]);
         CacheConfig cache;
         cache.sizeBytes =
             static_cast<uint64_t>(std::atoll(argv[4]));
@@ -122,7 +138,7 @@ main(int argc, char **argv)
         params.blockW = params.blockH = 8;
         SceneLayout layout(scene, params);
 
-        CacheStats stats = runCache(trace, layout, cache);
+        CacheStats stats = runCacheSharded(src, layout, cache);
         std::cout << cache.str() << ": " << stats.accesses
                   << " accesses, " << stats.misses << " misses ("
                   << fmtPercent(stats.missRate()) << "), "

@@ -6,10 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 
 #include "core/shard_replay.hh"
 #include "trace/chunked_trace.hh"
-#include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
 #include "tracing/tracing.hh"
 
@@ -36,19 +36,6 @@ fnv1a(const std::string &s, uint64_t h = 1469598103934665603ULL)
         h *= 1099511628211ULL;
     }
     return h;
-}
-
-/** Write @p trace to @p path via a temp file so readers never see a
- *  torn file (benches may share one cache directory). */
-void
-writeTraceCache(const TexelTrace &trace, const std::string &path)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(
-        std::filesystem::path(path).parent_path(), ec);
-    std::string tmp = path + ".tmp";
-    writeTrace(trace, tmp);
-    std::rename(tmp.c_str(), path.c_str());
 }
 
 } // namespace
@@ -82,14 +69,17 @@ SceneSpec::build() const
                 : makeScene(bench);
 }
 
-namespace {
-
-/** Shared trace-cache naming: <dir>/<scene>-<order>-<stamp><ext>. */
 std::string
-cacheEntryPath(const SceneSpec &s, const RasterOrder &order,
-               const std::string &dir, uint64_t revision,
-               const char *ext)
+traceCachePath(const SceneSpec &s, const RasterOrder &order,
+               const std::string &dir, uint64_t revision)
 {
+    std::string root = dir;
+    if (root.empty()) {
+        const char *env = std::getenv("TEXCACHE_TRACE_CACHE_DIR");
+        root = env ? env : "";
+    }
+    if (root.empty())
+        return "";
     // Key material: build stamp, record schema, render-path revision.
     // The revision keeps traces from an older execution model (e.g.
     // the serial-only renderer) from masking a trace-generation bug in
@@ -101,39 +91,8 @@ cacheEntryPath(const SceneSpec &s, const RasterOrder &order,
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(h));
-    return dir + "/" + s.key() + "-" + order.str() + "-" + hex + ext;
-}
-
-/** @p dir, or TEXCACHE_TRACE_CACHE_DIR, or "". */
-std::string
-cacheDirOrEnv(const std::string &dir)
-{
-    if (!dir.empty())
-        return dir;
-    const char *env = std::getenv("TEXCACHE_TRACE_CACHE_DIR");
-    return env && *env ? env : "";
-}
-
-} // namespace
-
-std::string
-traceCachePath(const SceneSpec &s, const RasterOrder &order,
-               uint64_t revision)
-{
-    std::string dir = cacheDirOrEnv("");
-    if (dir.empty())
-        return "";
-    return cacheEntryPath(s, order, dir, revision, ".trace");
-}
-
-std::string
-chunkedTracePath(const SceneSpec &s, const RasterOrder &order,
-                 const std::string &dir, uint64_t revision)
-{
-    std::string d = cacheDirOrEnv(dir);
-    if (d.empty())
-        return "";
-    return cacheEntryPath(s, order, d, revision, ".ctrace");
+    return root + "/" + s.key() + "-" + order.str() + "-" + hex +
+           ".ctrace";
 }
 
 uint64_t
@@ -229,36 +188,93 @@ TraceStore::scene(const SceneSpec &s)
     return it->second;
 }
 
+namespace {
+
+/**
+ * Open the trace cache entry at @p path into @p f. A missing entry is
+ * a quiet miss; one the chunked reader rejects is inform()ed with its
+ * typed error and removed, so the caller's render replaces it.
+ */
+bool
+openCacheEntry(const std::string &path, ChunkedTraceFile &f)
+{
+    if (path.empty() || !std::filesystem::exists(path))
+        return false;
+    TraceFileError err;
+    if (f.open(path, err))
+        return true;
+    inform("trace cache: ", path, " rejected (", err.str(),
+           "); re-rendering");
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    return false;
+}
+
+/**
+ * Write the trace cache entry at @p path: @p fill streams the records
+ * into a chunked writer on a temp file, which is finalized and renamed
+ * into place, so readers never see a torn entry (benches may share one
+ * cache directory). The directory is then pruned to the cap, never
+ * evicting @p path.
+ */
+void
+writeCacheEntry(const std::string &path,
+                const std::function<void(ChunkedTraceWriter &)> &fill)
+{
+    std::string dir = std::filesystem::path(path).parent_path().string();
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    std::string tmp = path + ".tmp";
+    {
+        ChunkedTraceWriter writer(tmp);
+        fill(writer);
+        writer.finalize();
+    }
+    fatal_if(std::rename(tmp.c_str(), path.c_str()) != 0,
+             "cannot move ", tmp, " into place");
+    pruneTraceCache(dir, traceCacheCapBytes(), path);
+}
+
+} // namespace
+
+RenderOutput
+TraceStore::renderCounted(const Scene &scene, const RasterOrder &order,
+                          const RenderOptions &opts)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    RenderOutput out = render(scene, order, opts);
+    // Single-writer (dispatcher) accounting; relaxed stores pair with
+    // the relaxed reads in the metrics snapshot.
+    double ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    renderMillis_.store(renderMillis_.load(std::memory_order_relaxed) + ms,
+                        std::memory_order_relaxed);
+    renders_.fetch_add(1, std::memory_order_relaxed);
+    return out;
+}
+
 const RenderOutput &
 TraceStore::output(const SceneSpec &s, const RasterOrder &order)
 {
     auto key = std::make_pair(s.key(), order.str());
-    auto it = outputs_.find(key);
-    if (it == outputs_.end()) {
-        const Scene &sc = scene(s);
-        inform("rendering ", key.first, " (", order.str(), ")");
-        RenderOptions opts;
-        opts.writeFramebuffer = false; // figures need traces only
-        auto t0 = std::chrono::steady_clock::now();
-        it = outputs_.emplace(key, render(sc, order, opts)).first;
-        // Single-writer (dispatcher) accounting; relaxed stores pair
-        // with the relaxed reads in the metrics snapshot.
-        double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-        renderMillis_.store(
-            renderMillis_.load(std::memory_order_relaxed) + ms,
-            std::memory_order_relaxed);
-        renders_.fetch_add(1, std::memory_order_relaxed);
-        std::string path = traceCachePath(s, order);
-        if (!path.empty() && !std::filesystem::exists(path)) {
-            writeTraceCache(it->second.trace, path);
-            pruneTraceCache(
-                std::filesystem::path(path).parent_path().string(),
-                traceCacheCapBytes(), path);
-        }
-    }
-    return it->second;
+    if (auto it = outputs_.find(key); it != outputs_.end())
+        return it->second;
+    const Scene &sc = scene(s);
+    std::string path = traceCachePath(s, order);
+    ChunkedTraceFile cached;
+    bool write = !path.empty() && !openCacheEntry(path, cached);
+    inform("rendering ", key.first, " (", order.str(), ")");
+    RenderOptions opts;
+    opts.writeFramebuffer = false; // figures need traces only
+    const RenderOutput &out =
+        outputs_.emplace(key, renderCounted(sc, order, opts))
+            .first->second;
+    if (write)
+        writeCacheEntry(path, [&](ChunkedTraceWriter &w) {
+            w.append(out.trace.packed().data(), out.trace.size());
+        });
+    return out;
 }
 
 const TexelTrace &
@@ -270,11 +286,11 @@ TraceStore::trace(const SceneSpec &s, const RasterOrder &order)
     if (auto it = diskTraces_.find(key); it != diskTraces_.end())
         return it->second;
     std::string path = traceCachePath(s, order);
-    if (!path.empty() && std::filesystem::exists(path)) {
+    ChunkedTraceFile cached;
+    if (openCacheEntry(path, cached)) {
         inform("trace cache hit: ", path);
         diskHits_.fetch_add(1, std::memory_order_relaxed);
-        auto it = diskTraces_.emplace(key, readTrace(path)).first;
-        return it->second;
+        return diskTraces_.emplace(key, cached.readAll()).first->second;
     }
     return output(s, order).trace;
 }
@@ -283,58 +299,31 @@ std::string
 TraceStore::spillTrace(const SceneSpec &s, const RasterOrder &order,
                        const std::string &dir)
 {
-    std::string path = chunkedTracePath(s, order, dir);
+    std::string path = traceCachePath(s, order, dir);
     fatal_if(path.empty(),
              "spillTrace needs a cache directory (argument or "
              "TEXCACHE_TRACE_CACHE_DIR)");
-
-    if (std::filesystem::exists(path)) {
-        ChunkedTraceFile f;
-        TraceFileError err;
-        if (f.open(path, err)) {
-            inform("chunked trace cache hit: ", path);
-            diskHits_.fetch_add(1, std::memory_order_relaxed);
-            // The cap holds in the all-hits steady state too (the
-            // cap may have been lowered since the file was written).
-            pruneTraceCache(
-                std::filesystem::path(path).parent_path().string(),
-                traceCacheCapBytes(), path);
-            return path;
-        }
-        // A torn writer run (crash before finalize) or foreign bytes
-        // under our name: re-render over it.
-        inform("chunked trace ", path, " rejected (", err.str(),
-               "); re-rendering");
+    ChunkedTraceFile cached;
+    if (openCacheEntry(path, cached)) {
+        inform("trace cache hit: ", path);
+        diskHits_.fetch_add(1, std::memory_order_relaxed);
+        // The cap holds in the all-hits steady state too (the cap may
+        // have been lowered since the file was written).
+        pruneTraceCache(
+            std::filesystem::path(path).parent_path().string(),
+            traceCacheCapBytes(), path);
+        return path;
     }
-
     const Scene &sc = scene(s);
-    std::error_code ec;
-    std::filesystem::create_directories(
-        std::filesystem::path(path).parent_path(), ec);
-    std::string tmp = path + ".tmp";
     inform("rendering ", s.key(), " (", order.str(),
            ") streamed to ", path);
-    auto t0 = std::chrono::steady_clock::now();
-    {
-        ChunkedTraceWriter writer(tmp);
+    writeCacheEntry(path, [&](ChunkedTraceWriter &w) {
         RenderOptions opts;
         opts.writeFramebuffer = false;
         opts.countRepetition = false;
-        opts.traceSink = &writer;
-        render(sc, order, opts);
-        writer.finalize();
-    }
-    double ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    renderMillis_.store(
-        renderMillis_.load(std::memory_order_relaxed) + ms,
-        std::memory_order_relaxed);
-    renders_.fetch_add(1, std::memory_order_relaxed);
-    fatal_if(std::rename(tmp.c_str(), path.c_str()) != 0,
-             "cannot move ", tmp, " into place");
-    pruneTraceCache(std::filesystem::path(path).parent_path().string(),
-                    traceCacheCapBytes(), path);
+        opts.traceSink = &w;
+        renderCounted(sc, order, opts);
+    });
     return path;
 }
 

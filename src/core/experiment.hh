@@ -66,10 +66,15 @@ struct SceneSpec
  * Memoizes built scenes and rendered traces for one process.
  *
  * When TEXCACHE_TRACE_CACHE_DIR is set, rendered texel traces are
- * additionally persisted there (via trace_io) keyed by scene, raster
- * order and a build stamp, so repeated bench invocations from the
- * same build skip the expensive re-render. Consumers that need only
- * the trace should call trace(), which serves disk hits without
+ * additionally persisted there as chunked .ctrace files
+ * (trace/chunked_trace.hh), one entry per scene, raster order, build
+ * stamp and render-path revision (traceCachePath), so repeated bench
+ * invocations from the same build skip the expensive re-render.
+ * output(), trace() and spillTrace() share that entry: a trace one of
+ * them wrote is a disk hit for the others. A cache file the chunked
+ * reader rejects (torn, truncated, foreign) is inform()ed and
+ * re-rendered in place, never fatal(). Consumers that need only the
+ * trace should call trace(), which serves disk hits without
  * rendering; output() always renders (and still populates the disk
  * cache) because the framebuffer and pipeline statistics cannot be
  * reconstructed from a trace file.
@@ -94,15 +99,14 @@ class TraceStore
     const TexelTrace &trace(const SceneSpec &s, const RasterOrder &order);
 
     /**
-     * Render (s, order) with the trace streamed straight to a chunked
-     * on-disk file - the trace is never materialized in memory, so
+     * Render (s, order) with the trace streamed straight to its cache
+     * entry - the trace is never materialized in memory, so
      * arbitrarily large frames spill at bounded RSS. Returns the file
-     * path (chunkedTracePath under @p dir, or under
+     * path (traceCachePath under @p dir, or under
      * TEXCACHE_TRACE_CACHE_DIR when @p dir is empty). A valid existing
-     * file is reused without rendering; a torn or stale-schema file is
-     * re-rendered in place. The cache directory is pruned to
-     * traceCacheCapBytes() afterwards, never evicting the returned
-     * file.
+     * entry is reused without rendering; a rejected one is re-rendered
+     * in place. The cache directory is pruned to traceCacheCapBytes()
+     * afterwards, never evicting the returned file.
      */
     std::string spillTrace(const SceneSpec &s, const RasterOrder &order,
                            const std::string &dir = "");
@@ -130,8 +134,15 @@ class TraceStore
     }
 
   private:
+    /** render() timed into renderMillis_ and counted in renders_. */
+    RenderOutput renderCounted(const Scene &scene,
+                               const RasterOrder &order,
+                               const RenderOptions &opts);
+
     std::map<std::string, Scene> scenes_;
     std::map<std::pair<std::string, std::string>, RenderOutput> outputs_;
+    /** Traces trace() read from disk; it returns references into
+     *  this map, and outputs_ holds only full renders. */
     std::map<std::pair<std::string, std::string>, TexelTrace> diskTraces_;
     std::atomic<double> renderMillis_{0.0}; ///< single writer
     std::atomic<uint64_t> renders_{0};
@@ -139,26 +150,17 @@ class TraceStore
 };
 
 /**
- * On-disk cache file path for (scene, order) under
- * TEXCACHE_TRACE_CACHE_DIR, or "" when the cache is disabled. The key
- * folds in the build stamp, the trace schema and @p revision - the
- * render path's execution-model revision (kRenderPathRevision), so
- * traces generated by an older pipeline can never satisfy a newer
- * build from disk. Exposed so tests can construct stale-revision
- * paths and assert they are not served.
+ * Trace cache entry path for (scene, order): a .ctrace file under
+ * @p dir when non-empty, else under TEXCACHE_TRACE_CACHE_DIR ("" when
+ * neither is set). The key folds in the build stamp, the trace schema
+ * and @p revision - the render path's execution-model revision
+ * (kRenderPathRevision), so traces generated by an older pipeline can
+ * never satisfy a newer build from disk. Exposed so tests can
+ * construct stale-revision paths and assert they are not served.
  */
 std::string traceCachePath(const SceneSpec &s, const RasterOrder &order,
+                           const std::string &dir = "",
                            uint64_t revision = kRenderPathRevision);
-
-/**
- * Cache file path for a *chunked* (streamable) trace of (scene,
- * order): like traceCachePath but with the .ctrace extension, rooted
- * at @p dir when non-empty, else at TEXCACHE_TRACE_CACHE_DIR ("" when
- * neither is set).
- */
-std::string chunkedTracePath(const SceneSpec &s, const RasterOrder &order,
-                             const std::string &dir = "",
-                             uint64_t revision = kRenderPathRevision);
 
 /**
  * Size cap for the trace cache directory, from TEXCACHE_TRACE_CACHE_CAP
@@ -168,10 +170,11 @@ std::string chunkedTracePath(const SceneSpec &s, const RasterOrder &order,
 uint64_t traceCacheCapBytes();
 
 /**
- * Evict least-recently-modified trace files (.trace, .ctrace and
- * leftover .tmp) from @p dir until its total size is at most
- * @p cap_bytes; @p keep is never evicted. Every eviction is
- * inform()ed. Returns the bytes removed. No-op when @p cap_bytes is 0.
+ * Evict least-recently-modified trace files (.ctrace, leftover .tmp,
+ * and the .trace files older builds wrote) from @p dir until its
+ * total size is at most @p cap_bytes; @p keep is never evicted. Every
+ * eviction is inform()ed. Returns the bytes removed. No-op when
+ * @p cap_bytes is 0.
  */
 uint64_t pruneTraceCache(const std::string &dir, uint64_t cap_bytes,
                          const std::string &keep = "");

@@ -12,6 +12,7 @@
 #ifndef TEXCACHE_CORE_SCENE_LAYOUT_HH
 #define TEXCACHE_CORE_SCENE_LAYOUT_HH
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -54,14 +55,13 @@ class SceneLayout
     void
     forEachAddress(const TexelTrace &trace, Fn &&fn) const
     {
-        Addr out[3];
-        trace.forEach([&](const TexelRecord &r) {
-            const TextureLayout &lay = *layouts_[r.texture];
-            unsigned n =
-                lay.addresses({r.level, r.u, r.v}, out);
-            for (unsigned i = 0; i < n; ++i)
-                fn(out[i]);
-        });
+        std::vector<Addr> addrs;
+        for (size_t i = 0; i < trace.size(); i += kMapChunk) {
+            mapPacked(trace.packed().data() + i,
+                      std::min(kMapChunk, trace.size() - i), addrs);
+            for (Addr a : addrs)
+                fn(a);
+        }
     }
 
     /**
@@ -76,21 +76,14 @@ class SceneLayout
     mapRange(const TexelTrace &trace, size_t begin, size_t end,
              std::vector<Addr> &out) const
     {
-        out.clear();
-        Addr a[3];
-        for (size_t i = begin; i < end; ++i) {
-            TexelRecord r = trace[i];
-            const TextureLayout &lay = *layouts_[r.texture];
-            unsigned n = lay.addresses({r.level, r.u, r.v}, a);
-            for (unsigned k = 0; k < n; ++k)
-                out.push_back(a[k]);
-        }
+        mapPacked(trace.packed().data() + begin, end - begin, out);
     }
 
     /**
-     * Like mapRange() but over a span of packed records, as handed out
-     * by a TraceSource chunk - the streamed-replay path has no
-     * TexelTrace to index into.
+     * Translate @p n packed records into @p out (replacing its
+     * contents, reusing its storage): the one record-to-address loop
+     * behind mapRange() and forEachAddress(), and the streamed-replay
+     * path's map of a TraceSource chunk.
      */
     void
     mapPacked(const uint64_t *recs, size_t n,

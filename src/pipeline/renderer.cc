@@ -44,23 +44,8 @@ render(const Scene &scene, const RasterOrder &order,
 {
     bool hooks = static_cast<bool>(opts.onFragment) ||
                  static_cast<bool>(opts.vtResolve);
-    switch (opts.parallelTiles) {
-      case ParallelTiles::Serial:
-        return renderReference(scene, order, opts);
-      case ParallelTiles::Force:
-        fatal_if(hooks,
-                 "RenderOptions::parallelTiles == Force is incompatible "
-                 "with the per-fragment hooks (onFragment / vtResolve): "
-                 "they observe fragments in traversal order and may "
-                 "carry state, which tile-parallel execution would "
-                 "reorder; use Auto or Serial");
-        return renderTiled(scene, order, opts);
-      case ParallelTiles::Auto:
-        return hooks ? renderReference(scene, order, opts)
-                     : renderTiled(scene, order, opts);
-    }
-    fatal("invalid RenderOptions::parallelTiles value ",
-          static_cast<int>(opts.parallelTiles));
+    return hooks ? renderReference(scene, order, opts)
+                 : renderTiled(scene, order, opts);
 }
 
 RenderOutput

@@ -99,23 +99,6 @@ struct VtDecision
  */
 inline constexpr uint64_t kRenderPathRevision = 4;
 
-/**
- * Tile-parallel execution policy of render(). The parallel engine bins
- * triangles into screen tiles, renders them on the core/sweep pool and
- * merges the per-tile outputs in canonical traversal order, producing
- * byte-identical trace/framebuffer/stats to the serial reference at
- * any thread count (DESIGN.md section 11).
- */
-enum class ParallelTiles : uint8_t
-{
-    /** Tile engine unless per-fragment hooks (onFragment / vtResolve)
-     *  are set; hooks are order-sensitive and stateful, so they take
-     *  the serial reference path. */
-    Auto,
-    Serial, ///< always the serial reference renderer
-    Force,  ///< always the tile engine; fatal() if hooks are set
-};
-
 /** Options controlling what the render captures and how it filters. */
 struct RenderOptions
 {
@@ -133,8 +116,6 @@ struct RenderOptions
     TraceSink *traceSink = nullptr;
     bool writeFramebuffer = true; ///< produce the color image
     bool countRepetition = true;  ///< feed the RepetitionCounter
-    /** Serial-vs-tile-parallel execution policy (output-invariant). */
-    ParallelTiles parallelTiles = ParallelTiles::Auto;
     /** Minification filter; the paper's studies all use Trilinear. */
     FilterMode filterMode = FilterMode::Trilinear;
     /**
@@ -162,8 +143,10 @@ struct RenderOptions
 /**
  * Render one frame of @p scene with the given rasterization order.
  *
- * Dispatches between the serial reference renderer and the tile
- * engine per opts.parallelTiles; both produce byte-identical output
+ * Runs the tile engine (renderTiled, tile_render.hh), or the serial
+ * reference renderer when a per-fragment hook (onFragment / vtResolve)
+ * is set: hooks observe fragments in traversal order and may carry
+ * state. Both produce byte-identical output
  * (tests/test_parallel_render.cc), so the choice only affects
  * wall-clock. TEXCACHE_THREADS governs the engine's worker count.
  */

@@ -341,6 +341,12 @@ renderTiled(const Scene &scene, const RasterOrder &order,
     static const uint16_t kSetupSpan = tracing::nameId("raster.setup");
     static const uint16_t kTileSpan = tracing::nameId("render.tile");
     static const uint16_t kMergeSpan = tracing::nameId("trace.merge");
+    fatal_if(opts.onFragment || opts.vtResolve,
+             "renderTiled does not support the per-fragment hooks "
+             "(onFragment / vtResolve): they observe fragments in "
+             "traversal order and may carry state, which tile-parallel "
+             "execution would reorder; use render() or "
+             "renderReference()");
     tracing::ScopedSpan span(kRenderSpan, scene.triangles.size());
 
     RenderOutput out;

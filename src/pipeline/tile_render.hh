@@ -39,9 +39,9 @@ namespace texcache {
 
 /**
  * Render @p scene with the tile engine. Byte-identical to
- * renderReference(scene, order, opts) for any TEXCACHE_THREADS value;
- * does not support the per-fragment hooks (render() routes those to
- * the reference path).
+ * renderReference(scene, order, opts) for any TEXCACHE_THREADS value.
+ * fatal()s when a per-fragment hook (onFragment / vtResolve) is set;
+ * render() routes those to the reference path.
  */
 RenderOutput renderTiled(const Scene &scene, const RasterOrder &order,
                          const RenderOptions &opts);

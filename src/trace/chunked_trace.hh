@@ -1,11 +1,10 @@
 /**
  * @file
- * Chunked on-disk texel traces for streamed replay.
+ * Chunked on-disk texel traces: the one trace file format (the trace
+ * cache, spills, trace_tool).
  *
- * The flat format (trace_io.hh) is written from a fully materialized
- * TexelTrace, so generating or replaying a billion-access trace costs
- * a billion records of RAM. The chunked format removes both limits:
- * a ChunkedTraceWriter is a TraceSink the render pipeline streams
+ * Neither generating nor replaying a trace file needs the trace in
+ * RAM: a ChunkedTraceWriter is a TraceSink the render pipeline streams
  * records into as they are produced, and a ChunkedTraceFile hands the
  * records back one fixed-size chunk at a time through a bounded mmap
  * window (sequential-advised, unmapped as the cursor advances), so
@@ -76,9 +75,9 @@ constexpr uint32_t kDefaultChunkRecords = 1u << 16;
 
 /**
  * Streaming writer: buffers one chunk, appends it to disk when full.
- * I/O failures on our own write path are fatal() (like trace_io);
- * the typed-error surface is the *reader's*, where corrupt input is
- * an expected condition.
+ * I/O failures on our own write path are fatal(); the typed-error
+ * surface is the *reader's*, where corrupt input is an expected
+ * condition.
  */
 class ChunkedTraceWriter : public TraceSink
 {

@@ -8,13 +8,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
 #include "core/scene_layout.hh"
 #include "oracle.hh"
-#include "trace/trace_io.hh"
+#include "trace/chunked_trace.hh"
 
 using namespace texcache;
 
@@ -32,6 +34,55 @@ fix()
 {
     static Fixture f;
     return f;
+}
+
+/** A fresh trace cache directory, exported as TEXCACHE_TRACE_CACHE_DIR
+ *  while the guard lives. */
+class CacheDir
+{
+  public:
+    explicit CacheDir(const std::string &name)
+        : path(::testing::TempDir() + name)
+    {
+        std::filesystem::remove_all(path);
+        std::filesystem::create_directories(path);
+        setenv("TEXCACHE_TRACE_CACHE_DIR", path.c_str(), 1);
+    }
+    ~CacheDir()
+    {
+        unsetenv("TEXCACHE_TRACE_CACHE_DIR");
+        std::filesystem::remove_all(path);
+    }
+    CacheDir(const CacheDir &) = delete;
+    CacheDir &operator=(const CacheDir &) = delete;
+
+    const std::string path;
+};
+
+/** Write @p trace to @p path as a finalized chunked trace. */
+void
+writeChunked(const TexelTrace &trace, const std::string &path)
+{
+    ChunkedTraceWriter w(path);
+    w.append(trace.packed().data(), trace.size());
+    w.finalize();
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** The trace a TraceStore renders for (spec, order), rendered afresh. */
+TexelTrace
+freshTrace(const SceneSpec &spec, const RasterOrder &order)
+{
+    RenderOptions opts;
+    opts.writeFramebuffer = false;
+    return render(spec.build(), order, opts).trace;
 }
 
 } // namespace
@@ -177,20 +228,17 @@ TEST(TraceStore, StaleRevisionCacheEntryIsNotServed)
     // Regression test for a poisoned on-disk trace cache: an entry
     // keyed by an older render-path revision must never satisfy the
     // current build, even within the same compilation stamp.
-    std::string dir = ::testing::TempDir() + "texcache-poison-test";
-    std::filesystem::remove_all(dir);
-    setenv("TEXCACHE_TRACE_CACHE_DIR", dir.c_str(), 1);
-    std::filesystem::create_directories(dir);
+    CacheDir dir("texcache-poison-test");
 
-    // Plant a poisoned (clearly wrong) trace at the *previous*
-    // revision's path for this (scene, order, build).
+    // Plant a valid but poisoned (clearly wrong) trace at the
+    // *previous* revision's path for this (scene, order, build).
     RasterOrder order = RasterOrder::horizontal();
-    std::string stale =
-        traceCachePath(BenchScene::Goblet, order, kRenderPathRevision - 1);
+    std::string stale = traceCachePath(BenchScene::Goblet, order, "",
+                                       kRenderPathRevision - 1);
     ASSERT_FALSE(stale.empty());
     TexelTrace poison;
     poison.append(TexelRecord{1, 2, 3, 0, TouchKind::Nearest});
-    writeTrace(poison, stale);
+    writeChunked(poison, stale);
 
     std::string current = traceCachePath(BenchScene::Goblet, order);
     ASSERT_NE(stale, current);
@@ -212,9 +260,84 @@ TEST(TraceStore, StaleRevisionCacheEntryIsNotServed)
     EXPECT_EQ(store2.diskHits(), 1u);
     EXPECT_EQ(store2.renders(), 0u);
     EXPECT_TRUE(cached.packed() == fresh.packed());
+}
 
-    unsetenv("TEXCACHE_TRACE_CACHE_DIR");
-    std::filesystem::remove_all(dir);
+TEST(TraceStore, RejectedCacheEntryIsReRendered)
+{
+    // A cache file the chunked reader rejects is re-rendered in place,
+    // never served and never fatal().
+    SceneSpec spec = SceneSpec::quadScene(32, 64, 1.0f);
+    RasterOrder order = RasterOrder::horizontal();
+    TexelTrace fresh = freshTrace(spec, order);
+    ASSERT_GT(fresh.size(), 1u);
+    CacheDir dir("texcache-reject-test");
+    std::string path = traceCachePath(spec, order);
+
+    const std::pair<const char *,
+                    std::function<void(const std::string &)>>
+        defects[] = {
+            {"unfinalized",
+             [&](const std::string &p) {
+                 // A writer torn down before finalize().
+                 ChunkedTraceWriter w(p);
+                 w.append(fresh.packed().data(), fresh.size());
+             }},
+            {"truncated",
+             [&](const std::string &p) {
+                 writeChunked(fresh, p);
+                 std::filesystem::resize_file(
+                     p, std::filesystem::file_size(p) - 8);
+             }},
+            {"bad magic",
+             [&](const std::string &p) {
+                 writeChunked(fresh, p);
+                 std::fstream f(p, std::ios::binary | std::ios::in |
+                                       std::ios::out);
+                 f.write("BADMAGIC", 8);
+             }},
+        };
+    for (const auto &[name, damage] : defects) {
+        damage(path);
+        ChunkedTraceFile f;
+        TraceFileError err;
+        ASSERT_FALSE(f.open(path, err)) << name;
+
+        TraceStore store;
+        const TexelTrace &t = store.trace(spec, order);
+        EXPECT_EQ(store.renders(), 1u) << name;
+        EXPECT_EQ(store.diskHits(), 0u) << name;
+        EXPECT_TRUE(t.packed() == fresh.packed()) << name;
+        EXPECT_TRUE(f.open(path, err)) << name << ": " << err.str();
+        EXPECT_TRUE(f.readAll().packed() == fresh.packed()) << name;
+    }
+}
+
+TEST(TraceStore, TraceAndSpillShareOneEntry)
+{
+    SceneSpec spec = SceneSpec::quadScene(32, 64, 1.0f);
+    RasterOrder order = RasterOrder::horizontal();
+    TexelTrace fresh = freshTrace(spec, order);
+    CacheDir dir("texcache-shared-test");
+
+    // A spilled trace is a disk hit for trace(), with a fresh render's
+    // bytes.
+    std::string path = TraceStore().spillTrace(spec, order, dir.path);
+    EXPECT_EQ(path, traceCachePath(spec, order));
+    std::string spilled = fileBytes(path);
+    TraceStore reader;
+    EXPECT_TRUE(reader.trace(spec, order).packed() == fresh.packed());
+    EXPECT_EQ(reader.diskHits(), 1u);
+    EXPECT_EQ(reader.renders(), 0u);
+
+    // output() writes the same file byte for byte, and spillTrace()
+    // then reuses it without rendering.
+    std::filesystem::remove(path);
+    TraceStore store;
+    store.output(spec, order);
+    EXPECT_EQ(fileBytes(path), spilled);
+    EXPECT_EQ(store.spillTrace(spec, order), path);
+    EXPECT_EQ(store.renders(), 1u);
+    EXPECT_EQ(store.diskHits(), 1u);
 }
 
 TEST(Experiment, FirstWorkingSetPanicsOnEmptySweep)

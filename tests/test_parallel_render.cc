@@ -3,9 +3,8 @@
  * Byte-identity of the tile-parallel render engine (DESIGN.md
  * section 11): for every scene, raster order and thread count, the
  * engine's trace, framebuffer and statistics must equal the serial
- * reference renderer's bit for bit. Also covers the dispatch policy
- * (hooks route to the reference path; Force + hooks is a fatal
- * configuration error).
+ * reference renderer's bit for bit. Also covers render()'s routing
+ * (hooks go to the reference path) and that the engine refuses hooks.
  */
 
 #include <cstdlib>
@@ -15,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "pipeline/renderer.hh"
+#include "pipeline/tile_render.hh"
 #include "scene/benchmarks.hh"
 #include "simd/isa.hh"
 #include "thread_env.hh"
@@ -122,16 +122,12 @@ TEST(ParallelRender, QuadAllOrdersAllThreads)
         opts.writeFramebuffer = framebuffer;
         opts.countRepetition = true;
         for (const RasterOrder &order : orders) {
-            RenderOptions serial = opts;
-            serial.parallelTiles = ParallelTiles::Serial;
-            RenderOutput ref = render(scene, order, serial);
+            RenderOutput ref = renderReference(scene, order, opts);
             EXPECT_GT(ref.stats.fragments, 0u);
 
             for (const char *threads : {"1", "2", "4", "8"}) {
                 ThreadEnv env(threads);
-                RenderOptions forced = opts;
-                forced.parallelTiles = ParallelTiles::Force;
-                RenderOutput out = render(scene, order, forced);
+                RenderOutput out = renderTiled(scene, order, opts);
                 expectIdentical(ref, out,
                                 "quad order=" + order.str() +
                                     " framebuffer=" +
@@ -152,15 +148,11 @@ TEST(ParallelRender, FourScenesAllOrders)
     for (BenchScene s : allBenchScenes()) {
         Scene scene = makeScene(s);
         for (const RasterOrder &order : allOrders()) {
-            RenderOptions serial = opts;
-            serial.parallelTiles = ParallelTiles::Serial;
-            RenderOutput ref = render(scene, order, serial);
+            RenderOutput ref = renderReference(scene, order, opts);
 
             for (const char *threads : {"2", "4", "8"}) {
                 ThreadEnv env(threads);
-                RenderOptions forced = opts;
-                forced.parallelTiles = ParallelTiles::Force;
-                RenderOutput out = render(scene, order, forced);
+                RenderOutput out = renderTiled(scene, order, opts);
                 expectIdentical(ref, out,
                                 std::string(benchSceneName(s)) +
                                     " order=" + order.str() +
@@ -191,18 +183,14 @@ TEST(ParallelRender, FourScenesTraceOnlyIsaMatrix)
     for (BenchScene s : allBenchScenes()) {
         Scene scene = makeScene(s);
         for (const RasterOrder &order : allOrders()) {
-            RenderOptions serial = opts;
-            serial.parallelTiles = ParallelTiles::Serial;
-            RenderOutput ref = render(scene, order, serial);
+            RenderOutput ref = renderReference(scene, order, opts);
             EXPECT_GT(ref.stats.fragments, 0u);
 
             for (simd::Isa isa : simd::supportedIsas()) {
                 simd::setActiveIsa(isa);
                 for (const char *threads : {"1", "8"}) {
                     ThreadEnv env(threads);
-                    RenderOptions forced = opts;
-                    forced.parallelTiles = ParallelTiles::Force;
-                    RenderOutput out = render(scene, order, forced);
+                    RenderOutput out = renderTiled(scene, order, opts);
                     expectIdentical(ref, out,
                                     std::string(benchSceneName(s)) +
                                         " order=" + order.str() +
@@ -249,7 +237,7 @@ TEST(ParallelRender, PaperSceneRepetitionCountsArePinned)
     }
 }
 
-TEST(ParallelRender, AutoRoutesHooksToReference)
+TEST(ParallelRender, RenderRoutesHooksToReference)
 {
     Scene scene = makeQuadTestScene();
     RenderOptions opts;
@@ -260,32 +248,29 @@ TEST(ParallelRender, AutoRoutesHooksToReference)
 
     ThreadEnv env("4");
     RenderOutput out = render(scene, RasterOrder::horizontal(), opts);
-    // Auto must fall back to the serial path so the hook observes
-    // every fragment in traversal order.
+    // render() must take the serial path so the hook observes every
+    // fragment in traversal order.
     EXPECT_EQ(hookCalls, out.stats.fragments);
     EXPECT_GT(hookCalls, 0u);
 }
 
 using ParallelRenderDeathTest = ::testing::Test;
 
-TEST(ParallelRenderDeathTest, ForceWithHooksIsFatal)
+TEST(ParallelRenderDeathTest, RenderTiledWithHooksIsFatal)
 {
     Scene scene = makeQuadTestScene();
-    RenderOptions opts;
-    opts.parallelTiles = ParallelTiles::Force;
-    opts.onFragment = [](const Fragment &, const SampleResult &,
-                         uint16_t) {};
-    EXPECT_EXIT(render(scene, RasterOrder::horizontal(), opts),
+    RenderOptions fragmentHook;
+    fragmentHook.onFragment = [](const Fragment &, const SampleResult &,
+                                 uint16_t) {};
+    EXPECT_EXIT(renderTiled(scene, RasterOrder::horizontal(),
+                            fragmentHook),
                 testing::ExitedWithCode(1), "hooks");
-}
-
-TEST(ParallelRenderDeathTest, InvalidPolicyIsFatal)
-{
-    Scene scene = makeQuadTestScene();
-    RenderOptions opts;
-    opts.parallelTiles = static_cast<ParallelTiles>(99);
-    EXPECT_EXIT(render(scene, RasterOrder::horizontal(), opts),
-                testing::ExitedWithCode(1), "parallelTiles");
+    RenderOptions vtHook;
+    vtHook.vtResolve = [](uint16_t, float, float, float) {
+        return VtDecision{};
+    };
+    EXPECT_EXIT(renderTiled(scene, RasterOrder::horizontal(), vtHook),
+                testing::ExitedWithCode(1), "hooks");
 }
 
 } // namespace

@@ -1,4 +1,5 @@
-/** @file Tests for binary trace file round-tripping. */
+/** @file Tests for chunked trace file round-tripping and typed
+ *  rejection (trace/chunked_trace.hh). */
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,6 @@
 #include <vector>
 
 #include "trace/chunked_trace.hh"
-#include "trace/trace_io.hh"
 
 using namespace texcache;
 
@@ -36,71 +36,6 @@ tempPath(const char *name)
 {
     return ::testing::TempDir() + "/" + name;
 }
-
-} // namespace
-
-TEST(TraceIo, RoundTripsExactly)
-{
-    TexelTrace t = sampleTrace(100000);
-    std::string path = tempPath("roundtrip.trc");
-    writeTrace(t, path);
-    TexelTrace back = readTrace(path);
-    ASSERT_EQ(back.size(), t.size());
-    for (size_t i = 0; i < t.size(); i += 53)
-        ASSERT_EQ(back[i].pack(), t[i].pack()) << "record " << i;
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, EmptyTraceRoundTrips)
-{
-    TexelTrace t;
-    std::string path = tempPath("empty.trc");
-    writeTrace(t, path);
-    TexelTrace back = readTrace(path);
-    EXPECT_EQ(back.size(), 0u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, MissingFileIsFatal)
-{
-    EXPECT_EXIT(readTrace(tempPath("does_not_exist.trc")),
-                ::testing::ExitedWithCode(1), "cannot open");
-}
-
-TEST(TraceIo, BadMagicIsFatal)
-{
-    std::string path = tempPath("bad_magic.trc");
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "NOTATRACE_FILE_AT_ALL";
-    }
-    EXPECT_EXIT(readTrace(path), ::testing::ExitedWithCode(1),
-                "not a texcache trace");
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, TruncatedPayloadIsFatal)
-{
-    TexelTrace t = sampleTrace(1000);
-    std::string path = tempPath("truncated.trc");
-    writeTrace(t, path);
-    // Chop the file short.
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::string all((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(all.data(),
-                  static_cast<std::streamsize>(all.size() / 2));
-    }
-    EXPECT_EXIT(readTrace(path), ::testing::ExitedWithCode(1),
-                "truncated");
-    std::remove(path.c_str());
-}
-
-// ---- Chunked trace files (trace/chunked_trace.hh) ------------------
-
-namespace {
 
 /** Write a finalized chunked file of @p n sample records. */
 std::string

@@ -22,6 +22,7 @@
 #include "core/shard_replay.hh"
 #include "core/sweep.hh"
 #include "pipeline/renderer.hh"
+#include "pipeline/tile_render.hh"
 #include "scene/benchmarks.hh"
 #include "thread_env.hh"
 #include "timing/dram_model.hh"
@@ -541,8 +542,7 @@ TEST(Tracing, TileRenderEmitsSetupAndMergeSpansPerFrame)
         configure({kSpans, 1, 1 << 20});
         RenderOptions opts;
         opts.writeFramebuffer = false;
-        opts.parallelTiles = ParallelTiles::Force;
-        render(scene, order, opts);
+        renderTiled(scene, order, opts);
 
         size_t frames = 0, setups = 0, merges = 0, outside = 0;
         int depth = 0;
