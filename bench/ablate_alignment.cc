@@ -29,8 +29,8 @@ main()
                   "align=32KB"});
 
     for (BenchScene s : {BenchScene::Town, BenchScene::Flight}) {
-        const RenderOutput &out =
-            store().output(s, sceneOrder(s, /*tiled=*/true, 8));
+        const TexelTrace &trace =
+            store().trace(s, sceneOrder(s, /*tiled=*/true, 8));
         for (CacheConfig cache :
              {CacheConfig{8 * 1024, kLine, 1},
               CacheConfig{8 * 1024, kLine, 2},
@@ -43,7 +43,7 @@ main()
                 params.blockW = params.blockH = 8;
                 params.baseAlign = align;
                 SceneLayout layout(store().scene(s), params);
-                CacheStats stats = runCache(out.trace, layout, cache);
+                CacheStats stats = runCache(trace, layout, cache);
                 row.push_back(fmtPercent(stats.missRate()));
             }
             table.row(row);

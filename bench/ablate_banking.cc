@@ -26,11 +26,11 @@ main()
                                                  "cycles"});
 
     for (BenchScene s : allBenchScenes()) {
-        const RenderOutput &out = store().output(s, sceneOrder(s));
+        const TexelTrace &trace = store().trace(s, sceneOrder(s));
         BankModel morton(BankInterleave::Morton);
         BankModel rowmajor(BankInterleave::RowMajor,
                            /*row_width_texels=*/8);
-        forEachFragment(out.trace, [&](const FragmentTouches &f) {
+        forEachFragment(trace, [&](const FragmentTouches &f) {
             // Each filter level's 4 touches form one quad access.
             for (unsigned base = 0; base + 4 <= f.count; base += 4) {
                 TexelTouch quad[4];

@@ -53,11 +53,11 @@ main()
                   "Reduction vs uncached"});
 
     for (BenchScene s : allBenchScenes()) {
-        const RenderOutput &out =
-            store().output(s, sceneOrder(s, /*tiled=*/true, 8));
+        const TexelTrace &trace =
+            store().trace(s, sceneOrder(s, /*tiled=*/true, 8));
         for (const Choice &c : choices) {
             SceneLayout layout(store().scene(s), c.params);
-            CacheStats stats = runCache(out.trace, layout, cache);
+            CacheStats stats = runCache(trace, layout, cache);
             double bw =
                 machine.cachedBandwidth(stats.missRate(), kLine);
             table.row({benchSceneName(s), c.label,

@@ -48,7 +48,6 @@ main()
         for (const Mode &m : modes) {
             RenderOptions opts;
             opts.writeFramebuffer = false;
-            opts.countRepetition = false;
             opts.filterMode = m.mode;
             RenderOutput out =
                 render(scene, sceneOrder(s, /*tiled=*/true, 8), opts);

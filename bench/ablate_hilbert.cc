@@ -47,10 +47,10 @@ main()
         };
 
         for (const OrderChoice &oc : orders) {
-            const RenderOutput &out = store().output(s, oc.order);
+            const TexelTrace &trace = store().trace(s, oc.order);
             SceneLayout layout(store().scene(s), params);
             ShardedStackProfile prof =
-                profileTrace(out.trace, layout, kLine);
+                profileTrace(trace, layout, kLine);
             std::vector<std::string> row = {oc.label};
             for (uint64_t size : sizes)
                 row.push_back(fmtPercent(prof.missRate(size)));

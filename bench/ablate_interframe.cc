@@ -29,7 +29,6 @@ main()
 
     RenderOptions opts;
     opts.writeFramebuffer = false;
-    opts.countRepetition = false;
     RasterOrder order = RasterOrder::tiledOrder(8, 8);
     RenderOutput out1 = render(frame1, order, opts);
     RenderOutput out2 = render(frame2, order, opts);

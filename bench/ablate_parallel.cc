@@ -33,7 +33,6 @@ run(BenchScene s, unsigned n_gen, WorkDistribution dist,
     RenderOptions opts;
     opts.captureTrace = false;
     opts.writeFramebuffer = false;
-    opts.countRepetition = false;
     opts.onFragment = [&](const Fragment &f, const SampleResult &sr,
                           uint16_t tex) {
         Addr addrs[24];
@@ -114,7 +113,6 @@ main()
             RenderOptions opts;
             opts.captureTrace = false;
             opts.writeFramebuffer = false;
-            opts.countRepetition = false;
             opts.onFragment = [&](const Fragment &f,
                                   const SampleResult &sr,
                                   uint16_t tex) {

@@ -39,15 +39,15 @@ main()
 
     for (BenchScene s :
          {BenchScene::Goblet, BenchScene::Town, BenchScene::Flight}) {
-        const RenderOutput &out =
-            store().output(s, sceneOrder(s, /*tiled=*/true, 8));
+        const TexelTrace &trace =
+            store().trace(s, sceneOrder(s, /*tiled=*/true, 8));
         SceneLayout layout(store().scene(s), params);
         std::vector<std::string> row = {benchSceneName(s)};
         for (unsigned d : depths) {
             TimingConfig t;
             t.fifoDepth = d;
             TimingResult r =
-                simulateTiming(out.trace, layout, cache, t);
+                simulateTiming(trace, layout, cache, t);
             row.push_back(
                 fmtFixed(r.fragmentsPerSecond(t.clockHz) / 1e6, 1) +
                 " (" +

@@ -61,7 +61,6 @@ runVt(const Scene &scene, const SceneLayout &layout,
     RenderOptions opts;
     opts.captureTrace = false;
     opts.writeFramebuffer = false;
-    opts.countRepetition = false;
     opts.vtResolve = vt.hook();
     render(scene, order, opts);
 
@@ -191,7 +190,6 @@ main()
         RenderOptions opts;
         opts.captureTrace = false;
         opts.writeFramebuffer = false;
-        opts.countRepetition = false;
         opts.vtResolve = repVt.hook();
         render(*rep.scene, sceneOrder(repScene), opts);
     }

@@ -35,9 +35,9 @@ panel(const char *title, BenchScene s)
     const unsigned tile_sizes[] = {0, 2, 4, 8, 16, 32, 64, 128};
     for (unsigned tile : tile_sizes) {
         RasterOrder order = sceneOrder(s, tile != 0, tile);
-        const RenderOutput &out = store().output(s, order);
+        const TexelTrace &trace = store().trace(s, order);
         SceneLayout layout(store().scene(s), params);
-        ShardedStackProfile prof = profileTrace(out.trace, layout, kLine);
+        ShardedStackProfile prof = profileTrace(trace, layout, kLine);
         std::vector<std::string> row = {
             tile == 0 ? "nontiled"
                       : std::to_string(tile) + "x" +

@@ -58,8 +58,8 @@ panel(const char *title, BenchScene s)
     };
 
     for (const Series &ser : series) {
-        const RenderOutput &out =
-            store().output(s, sceneOrder(s, ser.tiled, 8));
+        const TexelTrace &trace =
+            store().trace(s, sceneOrder(s, ser.tiled, 8));
         std::vector<std::string> row = {ser.label};
         for (uint64_t size : sizes) {
             // 6-D blocking sizes its super-block to the cache.
@@ -71,7 +71,7 @@ panel(const char *title, BenchScene s)
                 row.push_back("-");
                 continue;
             }
-            CacheStats stats = runCache(out.trace, layout, cfg);
+            CacheStats stats = runCache(trace, layout, cfg);
             row.push_back(fmtPercent(stats.missRate()));
         }
         table.row(row);

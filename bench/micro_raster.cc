@@ -99,8 +99,8 @@ trilinearSample(benchmark::State &state)
  * lane before anything is timed, and each side takes the minimum of
  * several repetitions (this is a single-digit-ns/fragment loop; on a
  * loaded box the mean drifts, the minimum doesn't). The end-to-end
- * engine ratio stays a report metric: trace/repetition folding and
- * span setup are shared scalar work, so Amdahl caps it well below the
+ * engine ratio stays a report metric: statistics and trace folding
+ * and span setup are shared scalar work, so Amdahl caps it well below the
  * kernel ratio.
  */
 std::pair<double, double>
@@ -132,8 +132,6 @@ spanKernelSpeedup()
         best->touches(ctx, &xs[i], &ys[i], simd::kSpanBatch, b);
         for (int l = 0; l < simd::kSpanBatch; ++l)
             panic_if(a.recEnd[l] != b.recEnd[l] ||
-                         a.anchorU[l] != b.anchorU[l] ||
-                         a.anchorV[l] != b.anchorV[l] ||
                          a.firstU[l] != b.firstU[l] ||
                          a.firstV[l] != b.firstV[l],
                      "SIMD span kernel diverged from scalar at batch ",
@@ -197,7 +195,7 @@ class ThreadEnvOverride
  * their paper scan direction, capturing the texel trace (framebuffer
  * off, as TraceStore renders for the figures). The reference serial
  * renderer is the "before"; the tile engine on one thread isolates
- * the hot-path surgery (span stepping, touch-only sampling, batched
+ * the hot-path surgery (span stepping, touch-only SIMD kernels, batched
  * trace appends); the tile engine on N threads adds the parallelism.
  * Byte-identical traces across all three are asserted, so the timing
  * comparison can never drift away from correctness.
@@ -355,7 +353,7 @@ traceGenWorkload()
         // level, byte-identity asserted before timing. Only a gate
         // when the dispatcher actually selected a vector level. The
         // end-to-end engine ratio is Amdahl-capped by the shared
-        // scalar work (trace capture, repetition folding, span
+        // scalar work (trace capture, statistics folding, span
         // setup), so it is reported, not gated.
         m.metric("simd_speedup", simdSpeedup,
                  isa != simd::Isa::Scalar ? "higher" : "report", 0.25);

@@ -25,14 +25,14 @@ main()
                   "Reduction"});
 
     for (BenchScene s : allBenchScenes()) {
-        const RenderOutput &out = store().output(s, sceneOrder(s));
+        const TexelTrace &trace = store().trace(s, sceneOrder(s));
         LayoutParams params;
         params.kind = LayoutKind::Nonblocked;
         SceneLayout layout(store().scene(s), params);
 
         // Cold misses are first touches; rate = cold / accesses.
-        ShardedStackProfile p32 = profileTrace(out.trace, layout, 32);
-        ShardedStackProfile p128 = profileTrace(out.trace, layout, 128);
+        ShardedStackProfile p32 = profileTrace(trace, layout, 32);
+        ShardedStackProfile p128 = profileTrace(trace, layout, 128);
         double r32 = static_cast<double>(p32.coldMisses()) /
                      p32.accesses;
         double r128 = static_cast<double>(p128.coldMisses()) /

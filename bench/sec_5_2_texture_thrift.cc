@@ -51,7 +51,6 @@ main()
         Scene scene = makeWorstCaseScene(tex, kScreen, 0.4f);
         RenderOptions opts;
         opts.writeFramebuffer = false;
-        opts.countRepetition = false;
         RenderOutput out =
             render(scene, RasterOrder::horizontal(), opts);
 

@@ -56,7 +56,6 @@ main()
                 tex, kScreen, deg * 3.14159265f / 180.0f);
             RenderOptions opts;
             opts.writeFramebuffer = false;
-            opts.countRepetition = false;
             RenderOutput out =
                 render(scene, RasterOrder::horizontal(), opts);
 

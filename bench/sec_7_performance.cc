@@ -36,8 +36,8 @@ main()
     table.header(header);
 
     for (BenchScene s : allBenchScenes()) {
-        const RenderOutput &out =
-            store().output(s, sceneOrder(s, /*tiled=*/true, 8));
+        const TexelTrace &trace =
+            store().trace(s, sceneOrder(s, /*tiled=*/true, 8));
         SceneLayout layout(store().scene(s), params);
         std::vector<std::string> row = {benchSceneName(s)};
         for (uint64_t size : sizes) {
@@ -47,9 +47,9 @@ main()
             TimingConfig pf;
             pf.fifoDepth = 32;
             TimingResult a =
-                simulateTiming(out.trace, layout, cache, no_pf);
+                simulateTiming(trace, layout, cache, no_pf);
             TimingResult b =
-                simulateTiming(out.trace, layout, cache, pf);
+                simulateTiming(trace, layout, cache, pf);
             row.push_back(
                 fmtFixed(a.fragmentsPerSecond(no_pf.clockHz) / 1e6,
                          1) +

@@ -59,8 +59,8 @@ main()
 
     double best_reduction = 0.0, worst_reduction = 1e30;
     for (BenchScene s : order) {
-        const RenderOutput &out =
-            store().output(s, sceneOrder(s, /*tiled=*/true, 8));
+        const TexelTrace &trace =
+            store().trace(s, sceneOrder(s, /*tiled=*/true, 8));
         std::vector<std::string> row = {benchSceneName(s)};
         for (const CacheChoice &c : caches) {
             for (const LineChoice &l : lines) {
@@ -70,7 +70,7 @@ main()
                 params.blockH = l.bh;
                 params.padBlocks = 4;
                 SceneLayout layout(store().scene(s), params);
-                CacheStats stats = runCache(out.trace, layout,
+                CacheStats stats = runCache(trace, layout,
                                             {c.size, l.line, c.assoc});
                 double bw =
                     machine.cachedBandwidth(stats.missRate(), l.line);

@@ -55,7 +55,6 @@ main(int argc, char **argv)
         Scene scene = makeFlightSceneAt(static_cast<float>(f));
         RenderOptions opts;
         opts.writeFramebuffer = false;
-        opts.countRepetition = false;
         RenderOutput out =
             render(scene, RasterOrder::tiledOrder(8, 8), opts);
 

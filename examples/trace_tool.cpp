@@ -83,7 +83,6 @@ main(int argc, char **argv)
         ChunkedTraceWriter writer(argv[3]);
         RenderOptions opts;
         opts.writeFramebuffer = false;
-        opts.countRepetition = false;
         opts.traceSink = &writer;
         render(scene, order, opts);
         writer.finalize();

@@ -106,7 +106,6 @@ main(int argc, char **argv)
     RenderOptions opts;
     opts.captureTrace = false;
     opts.writeFramebuffer = false;
-    opts.countRepetition = false;
     opts.onFragment = [&](const Fragment &frag, const SampleResult &s,
                           uint16_t texture) {
         Addr out[3];

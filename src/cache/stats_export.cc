@@ -25,23 +25,6 @@ exportCacheStats(stats::Group &g, const CacheStats &s,
 }
 
 void
-exportMissBreakdown(stats::Group &g, const MissBreakdown &b)
-{
-    g.formula("accesses", "total accesses",
-              [&b] { return double(b.accesses); });
-    g.formula("misses", "set-associative misses",
-              [&b] { return double(b.misses); });
-    g.formula("cold", "first touch of a line address",
-              [&b] { return double(b.cold); });
-    g.formula("capacity", "misses a same-size FA cache also takes",
-              [&b] { return double(b.capacity); });
-    g.formula("conflict", "misses beyond the FA twin's",
-              [&b] { return double(b.conflict); });
-    g.formula("miss_rate", "misses / accesses",
-              [&b] { return b.missRate(); });
-}
-
-void
 exportHierarchyStats(stats::Group &g, const TwoLevelCache &h)
 {
     stats::Group &l1 = g.group("l1");

@@ -14,7 +14,6 @@
 
 #include "cache/cache_sim.hh"
 #include "cache/hierarchy.hh"
-#include "cache/three_c.hh"
 #include "stats/stats.hh"
 
 namespace texcache {
@@ -26,9 +25,6 @@ namespace texcache {
  */
 void exportCacheStats(stats::Group &g, const CacheStats &s,
                       unsigned line_bytes);
-
-/** Register a 3-C miss classification (cold/capacity/conflict). */
-void exportMissBreakdown(stats::Group &g, const MissBreakdown &b);
 
 /**
  * Register a two-level hierarchy: per-L1 subgroups ("l1.<i>.misses"),

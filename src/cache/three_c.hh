@@ -38,6 +38,27 @@ struct MissBreakdown
     }
 };
 
+/**
+ * The 3-C split of a set-associative cache's misses, from its stats
+ * @p sa and those of its fully associative twin @p fa: an LRU cache of
+ * equal size and line size that saw the same stream.
+ */
+inline MissBreakdown
+classifyMisses(const CacheStats &sa, const CacheStats &fa)
+{
+    MissBreakdown b;
+    b.accesses = sa.accesses;
+    b.misses = sa.misses;
+    b.cold = sa.coldMisses;
+    // An FA cache can in rare corner cases miss *more* than a
+    // set-associative one (LRU is not optimal); clamp at zero as the
+    // standard 3-C model does.
+    b.conflict = sa.misses > fa.misses ? sa.misses - fa.misses : 0;
+    uint64_t fa_noncold = fa.misses - fa.coldMisses;
+    b.capacity = std::min(fa_noncold, b.misses - b.cold - b.conflict);
+    return b;
+}
+
 /** Runs a set-associative cache and an FA twin over the same stream. */
 class MissClassifier
 {
@@ -75,19 +96,7 @@ class MissClassifier
     MissBreakdown
     breakdown() const
     {
-        MissBreakdown b;
-        const CacheStats &s = sa_.stats();
-        const CacheStats &f = fa_.stats();
-        b.accesses = s.accesses;
-        b.misses = s.misses;
-        b.cold = s.coldMisses;
-        // An FA cache can in rare corner cases miss *more* than a
-        // set-associative one (LRU is not optimal); clamp at zero as the
-        // standard 3-C model does.
-        b.conflict = s.misses > f.misses ? s.misses - f.misses : 0;
-        uint64_t fa_noncold = f.misses - f.coldMisses;
-        b.capacity = std::min(fa_noncold, b.misses - b.cold - b.conflict);
-        return b;
+        return classifyMisses(sa_.stats(), fa_.stats());
     }
 
     const CacheStats &setAssocStats() const { return sa_.stats(); }

@@ -266,7 +266,7 @@ TraceStore::output(const SceneSpec &s, const RasterOrder &order)
     bool write = !path.empty() && !openCacheEntry(path, cached);
     inform("rendering ", key.first, " (", order.str(), ")");
     RenderOptions opts;
-    opts.writeFramebuffer = false; // figures need traces only
+    opts.writeFramebuffer = false; // trace and statistics only
     const RenderOutput &out =
         outputs_.emplace(key, renderCounted(sc, order, opts))
             .first->second;
@@ -320,7 +320,6 @@ TraceStore::spillTrace(const SceneSpec &s, const RasterOrder &order,
     writeCacheEntry(path, [&](ChunkedTraceWriter &w) {
         RenderOptions opts;
         opts.writeFramebuffer = false;
-        opts.countRepetition = false;
         opts.traceSink = &w;
         renderCounted(sc, order, opts);
     });

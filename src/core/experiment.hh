@@ -75,8 +75,9 @@ struct SceneSpec
  * reader rejects (torn, truncated, foreign) is inform()ed and
  * re-rendered in place, never fatal(). Consumers that need only the
  * trace should call trace(), which serves disk hits without
- * rendering; output() always renders (and still populates the disk
- * cache) because the framebuffer and pipeline statistics cannot be
+ * rendering; output() always renders, a trace-only render on the tile
+ * engine (no framebuffer, no repetition counts), and still populates
+ * the disk cache, because the pipeline statistics cannot be
  * reconstructed from a trace file.
  *
  * Not internally synchronized: the texcached service owns one
@@ -91,7 +92,8 @@ class TraceStore
     /** The (memoized) scene object. */
     const Scene &scene(const SceneSpec &s);
 
-    /** The (memoized) render output for a scene and raster order. */
+    /** The (memoized) trace-only render output - trace and
+     *  statistics - for a scene and raster order. */
     const RenderOutput &output(const SceneSpec &s,
                                const RasterOrder &order);
 

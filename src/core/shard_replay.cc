@@ -238,18 +238,7 @@ classifySharded(const TraceSource &src, const SceneLayout &layout,
                      CacheConfig::kFullyAssoc};
     std::vector<CacheStats> st =
         runCacheSweepSharded(src, layout, {config, twin}, shards);
-    const CacheStats &s = st[0], &fa = st[1];
-
-    // Mirrors MissClassifier::breakdown() - the FA twin's misses and
-    // cold misses are exactly the profile's at this capacity.
-    MissBreakdown b;
-    b.accesses = s.accesses;
-    b.misses = s.misses;
-    b.cold = s.coldMisses;
-    b.conflict = s.misses > fa.misses ? s.misses - fa.misses : 0;
-    uint64_t fa_noncold = fa.misses - fa.coldMisses;
-    b.capacity = std::min(fa_noncold, b.misses - b.cold - b.conflict);
-    return b;
+    return classifyMisses(st[0], st[1]);
 }
 
 std::vector<CacheStats>

@@ -42,10 +42,8 @@ RenderOutput
 render(const Scene &scene, const RasterOrder &order,
        const RenderOptions &opts)
 {
-    bool hooks = static_cast<bool>(opts.onFragment) ||
-                 static_cast<bool>(opts.vtResolve);
-    return hooks ? renderReference(scene, order, opts)
-                 : renderTiled(scene, order, opts);
+    return referenceOnlyOption(opts) ? renderReference(scene, order, opts)
+                                     : renderTiled(scene, order, opts);
 }
 
 RenderOutput

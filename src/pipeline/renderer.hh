@@ -65,9 +65,12 @@ struct RenderStats
 /** Everything a frame render produces. */
 struct RenderOutput
 {
+    /** Empty unless RenderOptions::writeFramebuffer was set. */
     Image framebuffer;
     TexelTrace trace;
-    /** Section 3.1.2 repetition; the key sets die with the render. */
+    /** Section 3.1.2 repetition, zero unless
+     *  RenderOptions::countRepetition was set; the key sets die with
+     *  the render. */
     RepetitionCounts repetition;
     RenderStats stats;
 };
@@ -99,7 +102,13 @@ struct VtDecision
  */
 inline constexpr uint64_t kRenderPathRevision = 4;
 
-/** Options controlling what the render captures and how it filters. */
+/**
+ * Options controlling what the render captures and how it filters.
+ * The trace, the statistics and the filter mode are what the tile
+ * engine renders; writeFramebuffer, countRepetition and the two hooks
+ * are implemented by the reference renderer only, and render() routes
+ * any render that sets one of them there.
+ */
 struct RenderOptions
 {
     bool captureTrace = true;   ///< record the texel trace
@@ -115,7 +124,10 @@ struct RenderOptions
      */
     TraceSink *traceSink = nullptr;
     bool writeFramebuffer = true; ///< produce the color image
-    bool countRepetition = true;  ///< feed the RepetitionCounter
+    /** Count section 3.1.2 repetition into RenderOutput::repetition.
+     *  Off by default: only the locality table reads it, and it costs
+     *  two hash-set inserts per fragment. */
+    bool countRepetition = false;
     /** Minification filter; the paper's studies all use Trilinear. */
     FilterMode filterMode = FilterMode::Trilinear;
     /**
@@ -143,12 +155,12 @@ struct RenderOptions
 /**
  * Render one frame of @p scene with the given rasterization order.
  *
- * Runs the tile engine (renderTiled, tile_render.hh), or the serial
- * reference renderer when a per-fragment hook (onFragment / vtResolve)
- * is set: hooks observe fragments in traversal order and may carry
- * state. Both produce byte-identical output
- * (tests/test_parallel_render.cc), so the choice only affects
- * wall-clock. TEXCACHE_THREADS governs the engine's worker count.
+ * A trace-only render runs the tile engine (renderTiled,
+ * tile_render.hh); one that sets writeFramebuffer, countRepetition,
+ * onFragment or vtResolve runs the serial reference renderer, the
+ * only path that implements them. Both produce byte-identical traces
+ * and statistics (tests/test_parallel_render.cc).
+ * TEXCACHE_THREADS governs the engine's worker count.
  */
 RenderOutput render(const Scene &scene, const RasterOrder &order,
                     const RenderOptions &opts = RenderOptions{});
@@ -157,7 +169,8 @@ RenderOutput render(const Scene &scene, const RasterOrder &order,
  * The serial reference renderer: one triangle at a time, the raster
  * order traversing each triangle's bounding box. This is the
  * byte-identity specification the tile engine (tile_render.hh) is
- * tested against, and the only path supporting the per-fragment hooks.
+ * tested against, and the only path that writes the framebuffer,
+ * counts repetition or calls the per-fragment hooks.
  */
 RenderOutput renderReference(const Scene &scene, const RasterOrder &order,
                              const RenderOptions &opts = RenderOptions{});

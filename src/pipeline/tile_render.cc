@@ -1,7 +1,6 @@
 #include "pipeline/tile_render.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -31,14 +30,6 @@ constexpr int kHilbertBlock = 32;
 
 /** Must match visitHilbert in raster/rasterizer.cc. */
 constexpr unsigned kHilbertOrder = 11;
-
-inline uint8_t
-modulate(uint8_t c, float s)
-{
-    float v = static_cast<float>(c) * s;
-    v = v < 0.0f ? 0.0f : (v > 255.0f ? 255.0f : v);
-    return static_cast<uint8_t>(v + 0.5f);
-}
 
 /** One post-clip screen triangle ready to rasterize. */
 struct RasterTask
@@ -219,9 +210,6 @@ struct UnitResult
     uint64_t trilinearFragments = 0;
     uint64_t nearestFragments = 0;
     stats::Distribution lod;
-    /** Repetition-set keys, bucketed by the counter's shard; the
-     *  merge hands each shard's keys to exactly one worker. */
-    RepetitionCounter::KeyBuffer keys;
 };
 
 inline PixelRect
@@ -333,6 +321,20 @@ binTasks(const std::vector<RasterTask> &tasks, const WorkGrid &grid)
 
 } // namespace
 
+const char *
+referenceOnlyOption(const RenderOptions &opts)
+{
+    if (opts.writeFramebuffer)
+        return "writeFramebuffer";
+    if (opts.countRepetition)
+        return "countRepetition";
+    if (opts.onFragment)
+        return "onFragment";
+    if (opts.vtResolve)
+        return "vtResolve";
+    return nullptr;
+}
+
 RenderOutput
 renderTiled(const Scene &scene, const RasterOrder &order,
             const RenderOptions &opts)
@@ -341,25 +343,12 @@ renderTiled(const Scene &scene, const RasterOrder &order,
     static const uint16_t kSetupSpan = tracing::nameId("raster.setup");
     static const uint16_t kTileSpan = tracing::nameId("render.tile");
     static const uint16_t kMergeSpan = tracing::nameId("trace.merge");
-    fatal_if(opts.onFragment || opts.vtResolve,
-             "renderTiled does not support the per-fragment hooks "
-             "(onFragment / vtResolve): they observe fragments in "
-             "traversal order and may carry state, which tile-parallel "
-             "execution would reorder; use render() or "
-             "renderReference()");
+    const char *refOnly = referenceOnlyOption(opts);
+    fatal_if(refOnly, "renderTiled renders traces only; ", refOnly,
+             " takes renderReference() (render() routes it there)");
     tracing::ScopedSpan span(kRenderSpan, scene.triangles.size());
 
     RenderOutput out;
-    if (opts.writeFramebuffer)
-        out.framebuffer = Image(scene.screenW, scene.screenH,
-                                Rgba8{16, 16, 32, 255});
-    // The z-buffer only gates framebuffer writes (the paper's machine
-    // model textures before the depth test), so trace-only renders
-    // skip it entirely.
-    std::vector<float> zbuf;
-    if (opts.writeFramebuffer)
-        zbuf.assign(static_cast<size_t>(scene.screenW) * scene.screenH,
-                    1e30f);
 
     // ---- Front end: clip, set up and bin triangles (serial) --------
     std::vector<RasterTask> tasks;
@@ -381,16 +370,12 @@ renderTiled(const Scene &scene, const RasterOrder &order,
             work.push_back(u);
 
     // ---- Unit workers (core/sweep pool; deterministic results) -----
-    const bool touchOnly = !opts.writeFramebuffer;
     const bool horiz = order.dir == ScanDirection::Horizontal;
-    // Trace-only renders (the actual trace-generation workload) run
-    // the batched SIMD kernels of the dispatched ISA level; their
+    // The batched SIMD kernels of the dispatched ISA level: their
     // per-fragment float sequence is the reference's exactly, so the
     // output stays byte-identical at every level (DESIGN.md section
-    // 13). Framebuffer renders keep the scalar path: they are the
-    // interactive/debug mode and need the color fetches.
-    const simd::SpanKernels *simdK =
-        touchOnly ? &simd::kernels() : nullptr;
+    // 13).
+    const simd::SpanKernels &simdK = simd::kernels();
 
     auto renderUnit = [&](uint32_t u) -> UnitResult {
         tracing::ScopedSpan unitSpan(kTileSpan, u);
@@ -418,93 +403,25 @@ renderTiled(const Scene &scene, const RasterOrder &order,
 
         uint32_t fragCount = 0;
         const RasterTask *task = nullptr;
-        const MipMap *mip = nullptr;
 
-        auto emitFragment = [&](const Fragment &frag) {
-            ++fragCount;
-            float lambda = computeLod(frag.dudx * task->texW,
-                                      frag.dvdx * task->texH,
-                                      frag.dudy * task->texW,
-                                      frag.dvdy * task->texH);
-            SampleResult s;
-            if (touchOnly)
-                sampleTouchesMipMapMode(*mip, frag.u, frag.v, lambda,
-                                        opts.filterMode, s);
-            else
-                s = sampleMipMapMode(*mip, frag.u, frag.v, lambda,
-                                     opts.filterMode);
-            res.texelAccesses += s.numTouches;
-            res.lod.sample(s.touches[0].level);
-            if (s.kind == FilterKind::Bilinear)
-                ++res.bilinearFragments;
-            else if (s.kind == FilterKind::Nearest)
-                ++res.nearestFragments;
-            else
-                ++res.trilinearFragments;
-
-            if (opts.captureTrace) {
-                // Batched append: all of the fragment's touches in
-                // one bulk insert instead of a push per texel.
-                uint64_t buf[8];
-                unsigned cnt = packSampleRecords(task->texture, s, buf);
-                res.records.insert(res.records.end(), buf, buf + cnt);
-            }
-
-            if (tracing::enabled(tracing::kTexels))
-                tracing::setTexelContext(
-                    static_cast<uint16_t>(frag.x),
-                    static_cast<uint16_t>(frag.y), task->texture,
-                    s.touches[0].level, s.touches[0].u,
-                    s.touches[0].v);
-
-            if (opts.countRepetition) {
-                // Footprint anchor at the filter's first level:
-                // unwrapped vs wrapped integer texel coordinate.
-                unsigned lvl = s.touches[0].level;
-                const Image &li = mip->level(lvl);
-                float su = frag.u * li.width() - 0.5f;
-                float sv = frag.v * li.height() - 0.5f;
-                int32_t iu = static_cast<int32_t>(std::floor(su));
-                int32_t iv = static_cast<int32_t>(std::floor(sv));
-                res.keys.push(RepetitionCounter::keys(
-                    task->texture, static_cast<uint16_t>(lvl), iu, iv,
-                    s.touches[0].u, s.touches[0].v));
-            }
-
-            if (opts.writeFramebuffer) {
-                // Depth test after texturing (paper Fig 2.1). Units
-                // cover disjoint pixels, so the shared z-buffer and
-                // framebuffer need no synchronization.
-                size_t pix = static_cast<size_t>(frag.y) *
-                                 scene.screenW +
-                             frag.x;
-                if (frag.depth < zbuf[pix]) {
-                    zbuf[pix] = frag.depth;
-                    auto toByte = [](float f) {
-                        f = f < 0.0f ? 0.0f : (f > 1.0f ? 1.0f : f);
-                        return static_cast<uint8_t>(f * 255.0f + 0.5f);
-                    };
-                    Rgba8 texel = {toByte(s.color.x), toByte(s.color.y),
-                                   toByte(s.color.z), toByte(s.color.w)};
-                    out.framebuffer.texel(frag.x, frag.y) = {
-                        modulate(texel.r, frag.shade),
-                        modulate(texel.g, frag.shade),
-                        modulate(texel.b, frag.shade), texel.a};
-                }
-            }
-        };
-
-        // Batched equivalent of emitFragment for the touch-only SIMD
-        // path: one kernel call covers attributes, LOD, level select
-        // and address generation for up to kSpanBatch fragments; this
-        // consumer folds the per-fragment results into the same
-        // statistics, trace records and repetition keys, in the same
-        // fragment order.
+        // Covered pixels enter a pending batch in traversal order and
+        // flush in order. Batches fill across spans and across the
+        // unit's tiles: the paper scenes' triangles average only a
+        // handful of pixels per row, so per-span batches would run
+        // the wide kernels mostly on tails. One kernel call covers
+        // attributes, LOD, level select and address generation for
+        // the batch; the flush folds its per-fragment results into
+        // the statistics and trace records, in fragment order.
         simd::SpanContext sctx{};
-        auto consumeBatch = [&](const int32_t *bxs, const int32_t *bys,
-                                int bn, const simd::SpanBatchOut &bo) {
-            fragCount += static_cast<uint32_t>(bn);
-            for (int i = 0; i < bn; ++i) {
+        int32_t bxs[simd::kSpanBatch], bys[simd::kSpanBatch];
+        simd::SpanBatchOut bo;
+        int pend = 0;
+        auto flush = [&]() {
+            if (!pend)
+                return;
+            simdK.touches(sctx, bxs, bys, pend, bo);
+            fragCount += static_cast<uint32_t>(pend);
+            for (int i = 0; i < pend; ++i) {
                 res.texelAccesses += bo.numTouches[i];
                 res.lod.sample(bo.firstLevel[i]);
                 if (bo.kind[i] == FilterKind::Bilinear)
@@ -516,34 +433,13 @@ renderTiled(const Scene &scene, const RasterOrder &order,
             }
             if (opts.captureTrace)
                 res.records.insert(res.records.end(), bo.records,
-                                   bo.records + bo.recEnd[bn - 1]);
+                                   bo.records + bo.recEnd[pend - 1]);
             if (tracing::enabled(tracing::kTexels))
-                for (int i = 0; i < bn; ++i)
+                for (int i = 0; i < pend; ++i)
                     tracing::setTexelContext(
                         static_cast<uint16_t>(bxs[i]),
                         static_cast<uint16_t>(bys[i]), task->texture,
                         bo.firstLevel[i], bo.firstU[i], bo.firstV[i]);
-            if (opts.countRepetition)
-                for (int i = 0; i < bn; ++i)
-                    res.keys.push(RepetitionCounter::keys(
-                        task->texture, bo.firstLevel[i], bo.anchorU[i],
-                        bo.anchorV[i], bo.firstU[i], bo.firstV[i]));
-        };
-
-        // Covered pixels enter a pending batch in traversal order and
-        // flush in order. Batches fill across spans and across the
-        // unit's tiles: the paper scenes' triangles average only a
-        // handful of pixels per row, so per-span batches would run
-        // the wide kernels mostly on tails.
-        Fragment frag;
-        int32_t bxs[simd::kSpanBatch], bys[simd::kSpanBatch];
-        simd::SpanBatchOut bo;
-        int pend = 0;
-        auto flush = [&]() {
-            if (!pend)
-                return;
-            simdK->touches(sctx, bxs, bys, pend, bo);
-            consumeBatch(bxs, bys, pend, bo);
             pend = 0;
         };
         auto batchPixel = [&](int x, int y) {
@@ -552,17 +448,13 @@ renderTiled(const Scene &scene, const RasterOrder &order,
             if (++pend == simd::kSpanBatch)
                 flush();
         };
-        // Interior pixels need no coverage test: coverage along a
-        // line is an interval and spanOnLine verified both endpoints.
-        auto shadePixel = [&](int x, int y) {
-            task->setup.attributesAt(x, y, frag);
-            emitFragment(frag);
-        };
         // A unit's tiles follow each other along x (horizontal
         // direction) or y (vertical) in canonical order, so the task's
         // rect is cut at tile boundaries along that axis and each
         // piece scanned in the scan direction - the serial traversal.
-        auto walkTiles = [&](const PixelRect &r, auto &&visit) {
+        // Interior pixels need no coverage test: coverage along a
+        // line is an interval and spanOnLine verified both endpoints.
+        auto walkTiles = [&](const PixelRect &r) {
             if (horiz) {
                 for (int x0 = r.x0; x0 <= r.x1;) {
                     int x1 = std::min(r.x1, (x0 / grid.tw + 1) * grid.tw - 1);
@@ -570,7 +462,7 @@ renderTiled(const Scene &scene, const RasterOrder &order,
                         int lo = x0, hi = x1;
                         if (spanOnLine(task->setup, true, y, lo, hi))
                             for (int x = lo; x <= hi; ++x)
-                                visit(x, y);
+                                batchPixel(x, y);
                     }
                     x0 = x1 + 1;
                 }
@@ -581,7 +473,7 @@ renderTiled(const Scene &scene, const RasterOrder &order,
                         int lo = y0, hi = y1;
                         if (spanOnLine(task->setup, false, x, lo, hi))
                             for (int y = lo; y <= hi; ++y)
-                                visit(x, y);
+                                batchPixel(x, y);
                     }
                     y0 = y1 + 1;
                 }
@@ -590,23 +482,21 @@ renderTiled(const Scene &scene, const RasterOrder &order,
 
         for (uint32_t t : bins.tasksOf[u]) {
             task = &tasks[t];
-            mip = &scene.textures[task->texture];
             fragCount = 0;
             PixelRect r = intersect(task->box, urect);
-            if (simdK)
-                sctx = simd::makeSpanContext(task->setup, *mip,
-                                             task->texture, task->texW,
-                                             task->texH,
-                                             opts.filterMode);
+            sctx = simd::makeSpanContext(task->setup,
+                                         scene.textures[task->texture],
+                                         task->texture, task->texW,
+                                         task->texH, opts.filterMode);
 
-            if (grid.hilbert && simdK) {
+            if (grid.hilbert) {
                 // Candidate cells in curve order; coverage tested
                 // kSpanBatch at a time, survivors batched in order.
                 int32_t txs[simd::kSpanBatch];
                 int32_t tys[simd::kSpanBatch];
                 int cand = 0;
                 auto testCand = [&]() {
-                    uint32_t m = simdK->coverMask(sctx, txs, tys, cand);
+                    uint32_t m = simdK.coverMask(sctx, txs, tys, cand);
                     for (int i = 0; i < cand; ++i)
                         if (m >> i & 1u)
                             batchPixel(txs[i], tys[i]);
@@ -623,21 +513,10 @@ renderTiled(const Scene &scene, const RasterOrder &order,
                 }
                 if (cand)
                     testCand();
-                flush();
-            } else if (grid.hilbert) {
-                for (const auto &c : cells) {
-                    int x = c.second.first, y = c.second.second;
-                    if (x < r.x0 || x > r.x1 || y < r.y0 || y > r.y1)
-                        continue;
-                    if (task->setup.shade(x, y, frag))
-                        emitFragment(frag);
-                }
-            } else if (simdK) {
-                walkTiles(r, batchPixel);
-                flush();
             } else {
-                walkTiles(r, shadePixel);
+                walkTiles(r);
             }
+            flush();
             res.segFrags.push_back(fragCount);
             res.segRecEnd.push_back(
                 static_cast<uint32_t>(res.records.size()));
@@ -664,27 +543,6 @@ renderTiled(const Scene &scene, const RasterOrder &order,
         out.stats.nearestFragments += ur.nearestFragments;
         out.stats.lodLevels.merge(ur.lod);
         totalRecords += ur.records.size();
-    }
-
-    // Repetition-set union, one counter shard per sweep point. Each
-    // shard's set is touched by exactly one worker and a union yields
-    // the same set in any insertion order, so this is both race-free
-    // and identical to the serial insert sequence. Only the counts
-    // outlive it.
-    if (opts.countRepetition && !results.empty()) {
-        RepetitionCounter repetition;
-        std::vector<const RepetitionCounter::KeyBuffer *> buffers;
-        buffers.reserve(results.size());
-        for (const auto &r : results)
-            buffers.push_back(&r.value.keys);
-        std::vector<unsigned> shards(RepetitionCounter::kShards);
-        for (unsigned s = 0; s < RepetitionCounter::kShards; ++s)
-            shards[s] = s;
-        Sweep::run(shards, [&](unsigned s) -> int {
-            repetition.unionShard(s, buffers);
-            return 0;
-        });
-        out.repetition = repetition.counts();
     }
 
     // The trace is order-sensitive: the serial renderer is triangle-

@@ -1,19 +1,21 @@
 /**
  * @file
- * Tile-parallel deterministic rendering (DESIGN.md section 11).
+ * Tile-parallel deterministic trace generation (DESIGN.md section 11).
  *
  * The screen is decomposed into tiles aligned to the rasterization
  * order's own traversal structure, and runs of tiles consecutive in
  * canonical order form work units of about one scanline strip of
  * pixels. Clipped triangles are binned into the units their bounding
  * boxes overlap, and the units render concurrently on the core/sweep
- * pool - each worker emitting into a private texel-record buffer,
- * private statistics and a private (disjoint) framebuffer region. A
- * deterministic merge then reassembles the per-(triangle, unit)
- * segments in (triangle order, canonical unit order), which
- * reproduces the serial traversal exactly: the trace, framebuffer and
- * statistics are byte-identical to renderReference() at any thread
- * count.
+ * pool through the SIMD span kernels (simd/span_kernels.hh) - each
+ * worker emitting into a private texel-record buffer and private
+ * statistics. A deterministic merge then reassembles the
+ * per-(triangle, unit) segments in (triangle order, canonical unit
+ * order), which reproduces the serial traversal exactly: the trace
+ * and statistics are byte-identical to renderReference() at any
+ * thread count. The engine produces nothing else; framebuffers,
+ * repetition counts and the per-fragment hooks are the reference
+ * renderer's.
  *
  * Tile decompositions per order (each chosen so a tile boundary never
  * splits the serial traversal of a triangle *within* one tile's
@@ -38,13 +40,21 @@
 namespace texcache {
 
 /**
- * Render @p scene with the tile engine. Byte-identical to
+ * Render @p scene's trace (or stream it to opts.traceSink) and its
+ * statistics with the tile engine. Byte-identical to
  * renderReference(scene, order, opts) for any TEXCACHE_THREADS value.
- * fatal()s when a per-fragment hook (onFragment / vtResolve) is set;
- * render() routes those to the reference path.
+ * fatal()s when referenceOnlyOption(opts) names an option; render()
+ * routes those to the reference path.
  */
 RenderOutput renderTiled(const Scene &scene, const RasterOrder &order,
                          const RenderOptions &opts);
+
+/**
+ * The first option set in @p opts that only renderReference()
+ * implements - writeFramebuffer, countRepetition, onFragment or
+ * vtResolve - or nullptr when renderTiled() can render @p opts.
+ */
+const char *referenceOnlyOption(const RenderOptions &opts);
 
 } // namespace texcache
 

@@ -793,7 +793,6 @@ runVtResidency(TraceStore &store, const ServiceRequest &req)
     RenderOptions opts;
     opts.captureTrace = false;
     opts.writeFramebuffer = false;
-    opts.countRepetition = false;
     opts.vtResolve = vt.hook();
     render(scene, req.order, opts);
 

@@ -12,8 +12,9 @@
  * Byte-identity rules this file lives by:
  *
  *  - Vectorize across fragments only; per fragment, perform the exact
- *    float operations of attributesAt / computeLod /
- *    sampleTouchesMipMapMode in the reference's association order.
+ *    float operations of attributesAt / computeLod / sampleMipMapMode's
+ *    level selection and texel addressing in the reference's
+ *    association order.
  *    add/sub/mul/div/sqrt/floor and int converts are IEEE-exact per
  *    lane, so lane i equals the scalar run on fragment i bit for bit.
  *  - No FMA: the per-ISA sources are compiled with -ffp-contract=off
@@ -122,7 +123,7 @@ touchesKernel(const SpanContext &ctx, const int32_t *xs,
     unsigned L0[kSpanBatch], L1[kSpanBatch];
     bool anyUpper = false;
     if (ctx.mode == FilterMode::Trilinear) {
-        // Mirror sampleTouchesMipMapMode's trilinear branch exactly.
+        // Mirror sampleMipMap's level selection exactly.
         for (int i = 0; i < np; ++i) {
             float lambda = lam[i];
             if (lambda <= 0.0f) {
@@ -201,24 +202,11 @@ touchesKernel(const SpanContext &ctx, const int32_t *xs,
         return V::imax(V::imin(idx, sizeMinus1), V::iset1(0));
     };
 
-    // Repetition anchor (all filter kinds): the unwrapped integer
-    // texel coordinate floor(u*w - 0.5) at the filter's first level,
-    // as the tile renderer's countRepetition block computes it.
-    alignas(32) int32_t aU[kSpanBatch], aV[kSpanBatch];
-    for (int g = 0; g < np; g += W) {
-        auto u = V::load(U + g);
-        auto v = V::load(Vc + g);
-        auto su = V::sub(V::mul(u, V::load(fw0 + g)), half);
-        auto sv = V::sub(V::mul(v, V::load(fh0 + g)), half);
-        V::istore(aU + g, V::trunc(V::floor(su)));
-        V::istore(aV + g, V::trunc(V::floor(sv)));
-    }
-
     // Touch coordinates, pre-combined into the packed record's low
     // half (u | v << 16) while still in vector registers, so record
     // emission below is one 64-bit OR per record. Slot c = the
     // filter's first level, slot d = the trilinear upper level;
-    // cXY = u_X | v_Y << 16 in touchesBilinearLevel's touch order.
+    // cXY = u_X | v_Y << 16 in sampleBilinearLevel's touch order.
     alignas(32) int32_t c00[kSpanBatch] = {}, c10[kSpanBatch] = {};
     alignas(32) int32_t c01[kSpanBatch] = {}, c11[kSpanBatch] = {};
     alignas(32) int32_t d00[kSpanBatch] = {}, d10[kSpanBatch] = {};
@@ -235,7 +223,7 @@ touchesKernel(const SpanContext &ctx, const int32_t *xs,
                              V::ishl16(wrapVec(iv, V::iload(hm0 + g)))));
         }
     } else {
-        // touchesBilinearLevel for one level slot.
+        // sampleBilinearLevel's touches for one level slot.
         auto bilinearSlot = [&](const float *fw, const float *fh,
                                 const int32_t *wm, const int32_t *hm,
                                 int32_t *s00, int32_t *s10, int32_t *s01,
@@ -326,8 +314,6 @@ touchesKernel(const SpanContext &ctx, const int32_t *xs,
         out.firstU[i] = static_cast<uint16_t>(c00[i]);
         out.firstV[i] =
             static_cast<uint16_t>(static_cast<uint32_t>(c00[i]) >> 16);
-        out.anchorU[i] = aU[i];
-        out.anchorV[i] = aV[i];
         out.recEnd[i] = cnt;
     }
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Batched fragment kernels for trace-only rendering.
+ * Batched fragment kernels for the tile engine's trace generation.
  *
  * A SpanKernels table holds function pointers for one ISA level
  * (isa.hh): `touches` turns a batch of up to kSpanBatch covered pixels
@@ -9,9 +9,10 @@
  * traversal). Per fragment, `touches` is the exact float sequence of
  *
  *     TriangleSetup::attributesAt -> computeLod ->
- *     sampleTouchesMipMapMode -> packSampleRecords
+ *     sampleMipMapMode (touches only) -> packSampleRecords
  *
- * vectorized *across* fragments, so every lane reproduces the scalar
+ * without the sampler's color fetches and blends, vectorized
+ * *across* fragments, so every lane reproduces the scalar
  * reference bit for bit (tests/test_simd_kernels.cc fuzzes this for
  * every compiled level, unaligned tails included).
  */
@@ -64,10 +65,9 @@ SpanContext makeSpanContext(const TriangleSetup &setup, const MipMap &mip,
 
 /**
  * Per-fragment results of one `touches` call, SoA across the batch.
- * Exactly what the tile renderer's fragment loop consumes: filter
- * statistics, the packed trace records, and the repetition-counter
- * anchor (the *unwrapped* integer texel coordinate at the filter's
- * first level).
+ * Exactly what the tile renderer's batch flush consumes: the filter
+ * statistics, the first touch (the LOD histogram's level and the
+ * texel tracing context) and the packed trace records.
  */
 struct SpanBatchOut
 {
@@ -76,8 +76,6 @@ struct SpanBatchOut
     uint16_t firstLevel[kSpanBatch]; ///< touches[0].level
     uint16_t firstU[kSpanBatch];     ///< touches[0].u (wrapped)
     uint16_t firstV[kSpanBatch];
-    int32_t anchorU[kSpanBatch];     ///< floor(u*w - 0.5) at firstLevel
-    int32_t anchorV[kSpanBatch];
     /** Cumulative end offset of each fragment's records. */
     uint32_t recEnd[kSpanBatch];
     /** Packed TexelRecords in packSampleRecords order. */

@@ -45,41 +45,6 @@ applyWrap(int coord, unsigned size, WrapMode wrap)
                                     : wrapClamp(coord, size);
 }
 
-/**
- * The texel-address computation of sampleBilinearLevel without the
- * color fetches and lerps. Kept in this translation unit next to the
- * full filter so both compile to the identical float sequence; any
- * change here must mirror sampleBilinearLevel (and vice versa), which
- * the sampler fuzz test enforces.
- */
-inline void
-touchesBilinearLevel(const MipMap &mip, unsigned level, float u, float v,
-                     TexelTouch *touches, WrapMode wrap)
-{
-    const Image &img = mip.level(level);
-    unsigned w = img.width();
-    unsigned h = img.height();
-
-    float su = u * static_cast<float>(w) - 0.5f;
-    float sv = v * static_cast<float>(h) - 0.5f;
-    int i0 = static_cast<int>(std::floor(su));
-    int j0 = static_cast<int>(std::floor(sv));
-
-    unsigned u0 = applyWrap(i0, w, wrap);
-    unsigned u1 = applyWrap(i0 + 1, w, wrap);
-    unsigned v0 = applyWrap(j0, h, wrap);
-    unsigned v1 = applyWrap(j0 + 1, h, wrap);
-
-    touches[0] = {static_cast<uint16_t>(level), static_cast<uint16_t>(u0),
-                  static_cast<uint16_t>(v0)};
-    touches[1] = {static_cast<uint16_t>(level), static_cast<uint16_t>(u1),
-                  static_cast<uint16_t>(v0)};
-    touches[2] = {static_cast<uint16_t>(level), static_cast<uint16_t>(u0),
-                  static_cast<uint16_t>(v1)};
-    touches[3] = {static_cast<uint16_t>(level), static_cast<uint16_t>(u1),
-                  static_cast<uint16_t>(v1)};
-}
-
 } // namespace
 
 float
@@ -232,64 +197,6 @@ sampleMipMapMode(const MipMap &mip, float u, float v, float lambda,
     res.color = {c.r / 255.0f, c.g / 255.0f, c.b / 255.0f,
                  c.a / 255.0f};
     return res;
-}
-
-void
-sampleTouchesMipMapMode(const MipMap &mip, float u, float v,
-                        float lambda, FilterMode mode, SampleResult &res,
-                        WrapMode wrap)
-{
-    if (mode == FilterMode::Trilinear) {
-        // Mirror sampleMipMap's level selection exactly.
-        if (lambda <= 0.0f) {
-            res.kind = FilterKind::Bilinear;
-            res.numTouches = 4;
-            touchesBilinearLevel(mip, 0, u, v, res.touches, wrap);
-            return;
-        }
-        unsigned max_level = mip.numLevels() - 1;
-        float clamped = std::min(lambda, static_cast<float>(max_level));
-        unsigned lower = static_cast<unsigned>(clamped);
-        if (lower > max_level - (max_level ? 1 : 0) && max_level > 0)
-            lower = max_level - 1;
-        if (max_level == 0)
-            lower = 0;
-        unsigned upper = std::min(lower + 1, max_level);
-        res.kind = FilterKind::Trilinear;
-        res.numTouches = 8;
-        touchesBilinearLevel(mip, lower, u, v, res.touches, wrap);
-        touchesBilinearLevel(mip, upper, u, v, res.touches + 4, wrap);
-        return;
-    }
-
-    // Nearest-mip level selection, exactly as sampleMipMapMode.
-    unsigned max_level = mip.numLevels() - 1;
-    unsigned level = 0;
-    if (lambda > 0.5f) {
-        level = static_cast<unsigned>(lambda + 0.5f);
-        if (level > max_level)
-            level = max_level;
-    }
-
-    if (mode == FilterMode::BilinearMipNearest) {
-        res.kind = FilterKind::Bilinear;
-        res.numTouches = 4;
-        touchesBilinearLevel(mip, level, u, v, res.touches, wrap);
-        return;
-    }
-
-    const Image &img = mip.level(level);
-    unsigned w = img.width();
-    unsigned h = img.height();
-    int iu = static_cast<int>(std::floor(u * static_cast<float>(w)));
-    int iv = static_cast<int>(std::floor(v * static_cast<float>(h)));
-    unsigned tu = applyWrap(iu, w, wrap);
-    unsigned tv = applyWrap(iv, h, wrap);
-    res.kind = FilterKind::Nearest;
-    res.numTouches = 1;
-    res.touches[0] = {static_cast<uint16_t>(level),
-                      static_cast<uint16_t>(tu),
-                      static_cast<uint16_t>(tv)};
 }
 
 } // namespace texcache

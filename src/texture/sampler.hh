@@ -123,18 +123,6 @@ SampleResult sampleMipMapMode(const MipMap &mip, float u, float v,
                               float lambda, FilterMode mode,
                               WrapMode wrap = WrapMode::Repeat);
 
-/**
- * Touch-only variant of sampleMipMapMode for trace-only renders: fills
- * @p res.kind, numTouches and touches with bit-identical values to the
- * full filter (same level selection, same texel addressing) but skips
- * every color fetch and lerp; res.color is left untouched and must not
- * be read. tests/test_sampler.cc fuzzes the equivalence.
- */
-void sampleTouchesMipMapMode(const MipMap &mip, float u, float v,
-                             float lambda, FilterMode mode,
-                             SampleResult &res,
-                             WrapMode wrap = WrapMode::Repeat);
-
 } // namespace texcache
 
 #endif // TEXCACHE_TEXTURE_SAMPLER_HH

@@ -16,7 +16,8 @@ bool
 FlatKeySet::place(uint64_t key)
 {
     // MurmurHash3's 64-bit finalizer: every key bit reaches the low
-    // bits the slot index takes, whatever the shard hash left equal.
+    // bits the slot index takes, so keys that differ only in their
+    // texture or level bits still spread.
     uint64_t h = key;
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdull;
@@ -44,28 +45,6 @@ FlatKeySet::rehash(size_t cap)
     for (uint64_t key : prev)
         if (key)
             place(key);
-}
-
-void
-RepetitionCounter::unionShard(unsigned shard,
-                              const std::vector<const KeyBuffer *> &buffers)
-{
-    auto unite = [&](FlatKeySet &set, auto bucketOf) {
-        size_t n = 0;
-        for (const KeyBuffer *b : buffers)
-            n += bucketOf(*b).size();
-        set.reserve(n);
-        for (const KeyBuffer *b : buffers)
-            for (uint64_t key : bucketOf(*b))
-                set.insert(key);
-        set.shrinkToFit();
-    };
-    unite(unwrapped_[shard], [shard](const KeyBuffer &b) -> const auto & {
-        return b.unwrapped[shard];
-    });
-    unite(wrapped_[shard], [shard](const KeyBuffer &b) -> const auto & {
-        return b.wrapped[shard];
-    });
 }
 
 TraceStats

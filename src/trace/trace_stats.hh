@@ -16,7 +16,6 @@
 #ifndef TEXCACHE_TRACE_TRACE_STATS_HH
 #define TEXCACHE_TRACE_TRACE_STATS_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -86,25 +85,6 @@ class FlatKeySet
         return place(key);
     }
 
-    /** Size the table so that @p n more distinct keys never grow it. */
-    void
-    reserve(size_t n)
-    {
-        size_t cap = capacityFor(used_ + n);
-        if (cap > slots_.size())
-            rehash(cap);
-    }
-
-    /** Move into the smallest table that holds the current keys
-     *  (after a reserve() sized for keys that turned out to repeat). */
-    void
-    shrinkToFit()
-    {
-        size_t cap = used_ ? capacityFor(used_) : 0;
-        if (cap < slots_.size())
-            rehash(cap);
-    }
-
     size_t size() const { return used_ + (hasZero_ ? 1 : 0); }
 
   private:
@@ -146,103 +126,23 @@ struct RepetitionCounts
 class RepetitionCounter
 {
   public:
-    /** One fragment's pair of set keys. */
-    struct KeyPair
-    {
-        uint64_t unwrapped;
-        uint64_t wrapped;
-    };
-
-    /** The set keys record() would insert for this footprint anchor. */
-    static KeyPair
-    keys(uint16_t tex, uint16_t level, int32_t unwrapped_u,
-         int32_t unwrapped_v, uint16_t wrapped_u, uint16_t wrapped_v)
-    {
-        uint64_t key_base = (static_cast<uint64_t>(tex) << 48) |
-                            (static_cast<uint64_t>(level) << 40);
-        uint64_t uw = key_base |
-                      (static_cast<uint64_t>(static_cast<uint32_t>(
-                           unwrapped_u)) &
-                       0xfffff) |
-                      ((static_cast<uint64_t>(static_cast<uint32_t>(
-                            unwrapped_v)) &
-                        0xfffff)
-                       << 20);
-        uint64_t wr = key_base | wrapped_u |
-                      (static_cast<uint64_t>(wrapped_v) << 20);
-        return {uw, wr};
-    }
-
-    /**
-     * The sets are sharded by key hash so the tile render engine's
-     * merge can union different shards on different workers
-     * concurrently (each shard is owned by exactly one worker, and a
-     * set union is order-free). Serial users never notice: record()
-     * and insert() route keys themselves.
-     */
-    static constexpr unsigned kShards = 16;
-
-    /** Owning shard of a key (top bits of a Fibonacci hash). */
-    static unsigned
-    shardOf(uint64_t key)
-    {
-        return static_cast<unsigned>((key * 0x9e3779b97f4a7c15ull) >>
-                                     60);
-    }
-
-    /**
-     * Keys buffered by one tile-render work unit, bucketed by shard. A
-     * push is far cheaper than a set insert, and a key equal to the
-     * last one in its bucket (neighbouring fragments often share a
-     * footprint anchor) is dropped, which halves what the merge
-     * hashes on the paper scenes.
-     */
-    struct KeyBuffer
-    {
-        std::array<std::vector<uint64_t>, kShards> unwrapped;
-        std::array<std::vector<uint64_t>, kShards> wrapped;
-
-        void
-        push(const KeyPair &k)
-        {
-            pushKey(unwrapped[shardOf(k.unwrapped)], k.unwrapped);
-            pushKey(wrapped[shardOf(k.wrapped)], k.wrapped);
-        }
-
-      private:
-        static void
-        pushKey(std::vector<uint64_t> &bucket, uint64_t key)
-        {
-            if (bucket.empty() || bucket.back() != key)
-                bucket.push_back(key);
-        }
-    };
-
     /** Record one fragment's footprint anchor for texture @p tex. */
     void
     record(uint16_t tex, uint16_t level, int32_t unwrapped_u,
            int32_t unwrapped_v, uint16_t wrapped_u, uint16_t wrapped_v)
     {
-        insert(keys(tex, level, unwrapped_u, unwrapped_v, wrapped_u,
-                    wrapped_v));
+        uint64_t key_base = (static_cast<uint64_t>(tex) << 48) |
+                            (static_cast<uint64_t>(level) << 40);
+        unwrapped_.insert(
+            key_base |
+            (static_cast<uint64_t>(static_cast<uint32_t>(unwrapped_u)) &
+             0xfffff) |
+            ((static_cast<uint64_t>(static_cast<uint32_t>(unwrapped_v)) &
+              0xfffff)
+             << 20));
+        wrapped_.insert(key_base | wrapped_u |
+                        (static_cast<uint64_t>(wrapped_v) << 20));
     }
-
-    /** Insert a precomputed key pair (set union, order-free). */
-    void
-    insert(const KeyPair &k)
-    {
-        unwrapped_[shardOf(k.unwrapped)].insert(k.unwrapped);
-        wrapped_[shardOf(k.wrapped)].insert(k.wrapped);
-    }
-
-    /**
-     * Union shard @p shard of every buffer in @p buffers into this
-     * counter. Each set is presized for all buffered keys, so the
-     * union never rehashes, then trimmed to its distinct keys. Safe
-     * to call concurrently for distinct shards, never for the same.
-     */
-    void unionShard(unsigned shard,
-                    const std::vector<const KeyBuffer *> &buffers);
 
     RepetitionCounts
     counts() const
@@ -251,29 +151,12 @@ class RepetitionCounter
     }
 
     double repetitionFactor() const { return counts().repetitionFactor(); }
-
-    /** Shards hold disjoint keys, so the sizes just add up. */
-    uint64_t
-    uniqueWrapped() const
-    {
-        uint64_t n = 0;
-        for (const auto &s : wrapped_)
-            n += s.size();
-        return n;
-    }
-
-    uint64_t
-    uniqueUnwrapped() const
-    {
-        uint64_t n = 0;
-        for (const auto &s : unwrapped_)
-            n += s.size();
-        return n;
-    }
+    uint64_t uniqueWrapped() const { return wrapped_.size(); }
+    uint64_t uniqueUnwrapped() const { return unwrapped_.size(); }
 
   private:
-    std::array<FlatKeySet, kShards> unwrapped_;
-    std::array<FlatKeySet, kShards> wrapped_;
+    FlatKeySet unwrapped_;
+    FlatKeySet wrapped_;
 };
 
 } // namespace texcache

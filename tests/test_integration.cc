@@ -130,7 +130,6 @@ TEST(Integration, TraceReplayEqualsInlineSimulation)
     RenderOptions opts;
     opts.captureTrace = false;
     opts.writeFramebuffer = false;
-    opts.countRepetition = false;
     opts.onFragment = [&](const Fragment &, const SampleResult &s,
                           uint16_t tex) {
         for (unsigned i = 0; i < s.numTouches; ++i) {

@@ -35,7 +35,6 @@ struct Fixture
         if (it == outputs.end()) {
             RenderOptions opts;
             opts.writeFramebuffer = false;
-            opts.countRepetition = false;
             it = outputs
                      .emplace(order.str(), render(scene, order, opts))
                      .first;

@@ -101,7 +101,6 @@ TEST(Parallel, MoreGeneratorsNeverReduceTotalTraffic)
         RenderOptions opts;
         opts.captureTrace = false;
         opts.writeFramebuffer = false;
-        opts.countRepetition = false;
         opts.onFragment = [&](const Fragment &f, const SampleResult &s,
                               uint16_t tex) {
             Addr addrs[24];

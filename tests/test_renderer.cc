@@ -82,8 +82,10 @@ TEST(Renderer, RepeatedUvRaisesRepetitionFactor)
 {
     Scene once = makeQuadTestScene(64, 128, /*uv_repeat=*/1.0f);
     Scene thrice = makeQuadTestScene(64, 128, /*uv_repeat=*/3.0f);
-    RenderOutput a = render(once, RasterOrder::horizontal());
-    RenderOutput b = render(thrice, RasterOrder::horizontal());
+    RenderOptions opts;
+    opts.countRepetition = true;
+    RenderOutput a = render(once, RasterOrder::horizontal(), opts);
+    RenderOutput b = render(thrice, RasterOrder::horizontal(), opts);
     EXPECT_LT(a.repetition.repetitionFactor(), 1.3);
     EXPECT_GT(b.repetition.repetitionFactor(), 2.0);
 }
@@ -154,7 +156,6 @@ TEST(Renderer, OptionsDisableCapture)
     RenderOptions opts;
     opts.captureTrace = false;
     opts.writeFramebuffer = false;
-    opts.countRepetition = false;
     RenderOutput out = render(scene, RasterOrder::horizontal(), opts);
     EXPECT_TRUE(out.trace.empty());
     EXPECT_TRUE(out.framebuffer.empty());

@@ -236,52 +236,6 @@ TEST(Sampler, ClampTrilinearAndNearestModes)
     EXPECT_EQ(nst.touches[0].v, 0u);
 }
 
-TEST(Sampler, TouchOnlySamplingMatchesFullFiltering)
-{
-    // The tile render engine uses sampleTouchesMipMapMode when no
-    // framebuffer is produced; its kind/numTouches/touches must equal
-    // sampleMipMapMode's bit for bit over the whole parameter space:
-    // all filter modes, both wraps, magnification (lambda <= 0),
-    // minification, beyond-coarsest lambda, and out-of-[0,1) coords.
-    MipMap mips[2] = {gradientMip(),
-                      MipMap(Image(64, 16, Rgba8{9, 9, 9, 255}))};
-    const FilterMode modes[] = {FilterMode::Trilinear,
-                                FilterMode::BilinearMipNearest,
-                                FilterMode::NearestMipNearest};
-    const WrapMode wraps[] = {WrapMode::Repeat, WrapMode::Clamp};
-
-    uint32_t x = 12345;
-    auto rnd = [&] {
-        x = x * 1664525u + 1013904223u;
-        return static_cast<float>(x >> 8) / static_cast<float>(1 << 24);
-    };
-    for (int iter = 0; iter < 20000; ++iter) {
-        const MipMap &m = mips[iter & 1];
-        float u = rnd() * 6.0f - 3.0f;
-        float v = rnd() * 6.0f - 3.0f;
-        float lambda = rnd() * 14.0f - 4.0f; // < 0 and > max_level
-        FilterMode mode = modes[iter % 3];
-        WrapMode wrap = wraps[(iter / 3) % 2];
-
-        SampleResult full = sampleMipMapMode(m, u, v, lambda, mode, wrap);
-        SampleResult touch;
-        sampleTouchesMipMapMode(m, u, v, lambda, mode, touch, wrap);
-
-        ASSERT_EQ(static_cast<int>(full.kind),
-                  static_cast<int>(touch.kind))
-            << "iter " << iter;
-        ASSERT_EQ(full.numTouches, touch.numTouches) << "iter " << iter;
-        for (unsigned i = 0; i < full.numTouches; ++i) {
-            ASSERT_EQ(full.touches[i].level, touch.touches[i].level)
-                << "iter " << iter << " touch " << i;
-            ASSERT_EQ(full.touches[i].u, touch.touches[i].u)
-                << "iter " << iter << " touch " << i;
-            ASSERT_EQ(full.touches[i].v, touch.touches[i].v)
-                << "iter " << iter << " touch " << i;
-        }
-    }
-}
-
 TEST(Sampler, SimdBatchesMatchScalarKernel)
 {
     // Randomized fragment batches through the SIMD span kernels
@@ -349,8 +303,6 @@ TEST(Sampler, SimdBatchesMatchScalarKernel)
                 ASSERT_EQ(out.firstLevel[i], ref.firstLevel[i]);
                 ASSERT_EQ(out.firstU[i], ref.firstU[i]);
                 ASSERT_EQ(out.firstV[i], ref.firstV[i]);
-                ASSERT_EQ(out.anchorU[i], ref.anchorU[i]);
-                ASSERT_EQ(out.anchorV[i], ref.anchorV[i]);
                 ASSERT_EQ(out.recEnd[i], ref.recEnd[i]);
             }
             ASSERT_EQ(0, std::memcmp(out.records, ref.records,

@@ -4,17 +4,17 @@
  * chain, for every compiled ISA level: randomized triangles, mip
  * pyramids, filter modes and wrap modes, with batch sizes 1..8 so
  * unaligned tails (n % lanes != 0) are always exercised. A kernel
- * lane must reproduce
+ * lane must reproduce the touches of
  *
- *   attributesAt -> computeLod -> sampleTouchesMipMapMode ->
+ *   attributesAt -> computeLod -> sampleMipMapMode ->
  *   packSampleRecords
  *
- * bit for bit, plus the tile renderer's repetition anchor. Also
- * covers coverMask vs TriangleSetup::covers and the TEXCACHE_SIMD
- * dispatch rules (fatal on unknown or unsupported levels).
+ * bit for bit. Also covers coverMask vs TriangleSetup::covers and
+ * the TEXCACHE_SIMD dispatch rules (fatal on unknown or unsupported
+ * levels).
  */
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -94,7 +94,6 @@ struct Truth
     FilterKind kind;
     unsigned numTouches;
     uint16_t firstLevel, firstU, firstV;
-    int32_t anchorU, anchorV;
     uint64_t recs[8];
     unsigned recCount;
 };
@@ -109,8 +108,7 @@ referenceAt(const TriangleSetup &setup, const MipMap &mip, uint16_t tex,
     setup.attributesAt(x, y, f);
     float lambda = computeLod(f.dudx * texW, f.dvdx * texH,
                               f.dudy * texW, f.dvdy * texH);
-    SampleResult s;
-    sampleTouchesMipMapMode(mip, f.u, f.v, lambda, mode, s, wrap);
+    SampleResult s = sampleMipMapMode(mip, f.u, f.v, lambda, mode, wrap);
 
     Truth t;
     t.kind = s.kind;
@@ -119,12 +117,6 @@ referenceAt(const TriangleSetup &setup, const MipMap &mip, uint16_t tex,
     t.firstU = s.touches[0].u;
     t.firstV = s.touches[0].v;
     t.recCount = packSampleRecords(tex, s, t.recs);
-    // The repetition anchor, as the tile renderer computes it.
-    const Image &li = mip.level(s.touches[0].level);
-    float su = f.u * li.width() - 0.5f;
-    float sv = f.v * li.height() - 0.5f;
-    t.anchorU = static_cast<int32_t>(std::floor(su));
-    t.anchorV = static_cast<int32_t>(std::floor(sv));
     return t;
 }
 
@@ -198,8 +190,6 @@ TEST(SimdKernels, TouchesMatchReferenceFuzz)
                                           t.firstLevel);
                                 EXPECT_EQ(out.firstU[i], t.firstU);
                                 EXPECT_EQ(out.firstV[i], t.firstV);
-                                EXPECT_EQ(out.anchorU[i], t.anchorU);
-                                EXPECT_EQ(out.anchorV[i], t.anchorV);
                                 ASSERT_EQ(out.recEnd[i] - prevEnd,
                                           t.recCount);
                                 for (unsigned r = 0; r < t.recCount;

@@ -177,9 +177,8 @@ TEST(Repetition, NegativeUnwrappedCoordsAreDistinct)
 TEST(FlatKeySet, MatchesSetOracle)
 {
     // Random keys drawn with repeats, key 0, and a run of distinct
-    // keys that all land in one repetition shard. The table is
-    // presized for a tenth of the keys, so it also grows past the
-    // presize.
+    // keys that differ only in their top bits (where a repetition key
+    // keeps its texture and level), which the slot hash must spread.
     std::mt19937_64 rng(15);
     std::vector<uint64_t> pool(30000);
     for (uint64_t &k : pool)
@@ -188,11 +187,9 @@ TEST(FlatKeySet, MatchesSetOracle)
     for (int i = 0; i < 120000; ++i)
         keys.push_back(i % 40000 ? pool[rng() % pool.size()] : 0);
     for (uint64_t k = 1; keys.size() < 140000; ++k)
-        if (RepetitionCounter::shardOf(k) == 3)
-            keys.push_back(k);
+        keys.push_back(k << 40);
 
     FlatKeySet set;
-    set.reserve(keys.size() / 10);
     std::set<uint64_t> oracle;
     size_t wrong = 0;
     for (uint64_t k : keys)
@@ -200,64 +197,4 @@ TEST(FlatKeySet, MatchesSetOracle)
     EXPECT_EQ(wrong, 0u);
     EXPECT_EQ(oracle.count(0), 1u);
     EXPECT_EQ(set.size(), oracle.size());
-
-    // Trimmed to its keys, the set keeps them all: every key is
-    // already present.
-    set.shrinkToFit();
-    EXPECT_EQ(set.size(), oracle.size());
-    for (uint64_t k : keys)
-        wrong += set.insert(k);
-    EXPECT_EQ(wrong, 0u);
-    EXPECT_EQ(set.size(), oracle.size());
-}
-
-TEST(Repetition, BufferedUnionMatchesSetOracle)
-{
-    // The tile engine's path (per-unit key buffers, one union per
-    // shard) and the serial path (insert per fragment) against a
-    // std::set oracle, over footprint anchors that repeat, wrap and
-    // include texture 0's texel (0, 0) at level 0 - key 0.
-    std::mt19937_64 rng(3);
-    RepetitionCounter serial, merged;
-    std::set<uint64_t> uw, wr;
-    std::vector<RepetitionCounter::KeyBuffer> buffers(7);
-    auto anchor = [&]() {
-        auto tex = static_cast<uint16_t>(rng() % 4);
-        auto lvl = static_cast<uint16_t>(rng() % 3);
-        auto u = static_cast<int32_t>(rng() % 600) - 100;
-        auto v = static_cast<int32_t>(rng() % 200) - 50;
-        return RepetitionCounter::keys(tex, lvl, u, v,
-                                       static_cast<uint16_t>(u & 127),
-                                       static_cast<uint16_t>(v & 127));
-    };
-    for (int i = 0; i < 150000; ++i) {
-        RepetitionCounter::KeyPair k =
-            i % 1000 ? anchor() : RepetitionCounter::keys(0, 0, 0, 0, 0, 0);
-        serial.insert(k);
-        buffers[i % buffers.size()].push(k);
-        uw.insert(k.unwrapped);
-        wr.insert(k.wrapped);
-    }
-    ASSERT_EQ(uw.count(0), 1u);
-    std::vector<const RepetitionCounter::KeyBuffer *> ptrs;
-    for (const auto &b : buffers)
-        ptrs.push_back(&b);
-    for (unsigned s = 0; s < RepetitionCounter::kShards; ++s)
-        merged.unionShard(s, ptrs);
-
-    EXPECT_EQ(serial.uniqueUnwrapped(), uw.size());
-    EXPECT_EQ(serial.uniqueWrapped(), wr.size());
-    EXPECT_EQ(merged.uniqueUnwrapped(), uw.size());
-    EXPECT_EQ(merged.uniqueWrapped(), wr.size());
-
-    // The union trims each set to its keys; new keys grow it again.
-    for (int i = 0; i < 50000; ++i) {
-        RepetitionCounter::KeyPair k = RepetitionCounter::keys(
-            7, 1, i, i / 7, static_cast<uint16_t>(i), 3);
-        merged.insert(k);
-        uw.insert(k.unwrapped);
-        wr.insert(k.wrapped);
-    }
-    EXPECT_EQ(merged.uniqueUnwrapped(), uw.size());
-    EXPECT_EQ(merged.uniqueWrapped(), wr.size());
 }

@@ -568,6 +568,53 @@ TEST(Tracing, TileRenderEmitsSetupAndMergeSpansPerFrame)
     }
 }
 
+TEST(Tracing, RenderRoutesByRasterSetupSpan)
+{
+    // Only the tile engine records raster.setup, so the span shows
+    // which renderer render() chose: the engine for a trace-only
+    // render, the reference for anything only the reference does.
+    ThreadEnv env("4");
+    Scene scene = makeQuadTestScene(128, 128, 1.7f);
+    TracerGuard guard(kSpans, 1, 1 << 20);
+    uint16_t frame = nameId("render.frame");
+    uint16_t setup = nameId("raster.setup");
+    auto setupSpans = [&](const RenderOptions &opts) {
+        configure({kSpans, 1, 1 << 20});
+        render(scene, RasterOrder::horizontal(), opts);
+        size_t frames = 0, setups = 0;
+        for (const Event &ev : snapshotEvents()) {
+            if (ev.kind != uint8_t(EventKind::SpanBegin))
+                continue;
+            frames += ev.a == frame;
+            setups += ev.a == setup;
+        }
+        // Both renderers record the frame, so a missing setup span
+        // means the reference ran, not that nothing was recorded.
+        EXPECT_EQ(frames, 1u);
+        return setups;
+    };
+
+    RenderOptions traceOnly;
+    traceOnly.writeFramebuffer = false;
+    EXPECT_EQ(setupSpans(traceOnly), 1u);
+
+    RenderOptions framebuffer = traceOnly;
+    framebuffer.writeFramebuffer = true;
+    EXPECT_EQ(setupSpans(framebuffer), 0u);
+    RenderOptions counting = traceOnly;
+    counting.countRepetition = true;
+    EXPECT_EQ(setupSpans(counting), 0u);
+    RenderOptions fragmentHook = traceOnly;
+    fragmentHook.onFragment = [](const Fragment &, const SampleResult &,
+                                 uint16_t) {};
+    EXPECT_EQ(setupSpans(fragmentHook), 0u);
+    RenderOptions vtHook = traceOnly;
+    vtHook.vtResolve = [](uint16_t, float, float, float) {
+        return VtDecision{};
+    };
+    EXPECT_EQ(setupSpans(vtHook), 0u);
+}
+
 TEST(Tracing, BinaryLogRoundTripPreservesEverything)
 {
     TracerGuard guard(kSpans | kMisses, /*sample_n=*/2);
