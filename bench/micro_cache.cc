@@ -67,12 +67,17 @@ fullyAssocLru(benchmark::State &state)
 void
 stackDistProfiler(benchmark::State &state)
 {
-    StackDistProfiler prof(64);
+    // Spans of 64 K addresses, as the replay engine's stack passes
+    // feed them (StackSegmentPass::accessRange).
+    std::vector<Addr> span(1 << 16);
     uint32_t x = 7;
     uint64_t cursor = 0;
+    for (Addr &a : span)
+        a = nextAddr(x, cursor);
+    StackDistProfiler prof(64);
     for (auto _ : state)
-        prof.access(nextAddr(x, cursor));
-    state.SetItemsProcessed(state.iterations());
+        prof.accessRange(span.data(), span.size());
+    state.SetItemsProcessed(state.iterations() * span.size());
     benchmark::DoNotOptimize(prof.coldMisses());
 }
 

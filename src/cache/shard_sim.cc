@@ -288,102 +288,28 @@ StackSegmentPass::finish()
 
 // ---- Global LRU-stack oracle ---------------------------------------
 
-void
-LruStackOracle::fenwickAdd(size_t pos, int delta)
-{
-    for (size_t i = pos + 1; i <= tree_.size(); i += i & (~i + 1))
-        tree_[i - 1] +=
-            static_cast<uint64_t>(static_cast<int64_t>(delta));
-}
-
-uint64_t
-LruStackOracle::fenwickSuffix(size_t pos) const
-{
-    uint64_t prefix = 0;
-    for (size_t i = pos + 1; i > 0; i -= i & (~i + 1))
-        prefix += tree_[i - 1];
-    // One live timestamp per line, so total live = map size (queried
-    // before any insert of the current line).
-    return lastTime_.size() - prefix;
-}
-
-void
-LruStackOracle::compact()
-{
-    std::vector<std::pair<uint64_t, uint64_t>> live; // (time, line)
-    live.reserve(lastTime_.size());
-    lastTime_.forEach(
-        [&](uint64_t line, uint64_t t) { live.emplace_back(t, line); });
-    std::sort(live.begin(), live.end());
-
-    present_.assign(live.size() * 2 + 64, false);
-    tree_.assign(present_.size(), 0);
-    now_ = 0;
-    for (const auto &[t, line] : live) {
-        *lastTime_.find(line) = now_;
-        present_[now_] = true;
-        fenwickAdd(now_, 1);
-        ++now_;
-    }
-}
-
-void
-LruStackOracle::ensureRoom()
-{
-    if (now_ < tree_.size())
-        return;
-    if (lastTime_.size() * 2 + 64 < tree_.size()) {
-        compact();
-        return;
-    }
-    size_t new_size = tree_.size() ? tree_.size() * 2 : 1024;
-    std::vector<bool> old_present = present_;
-    present_.assign(new_size, false);
-    tree_.assign(new_size, 0);
-    for (size_t i = 0; i < old_present.size(); ++i) {
-        if (old_present[i]) {
-            present_[i] = true;
-            fenwickAdd(i, 1);
-        }
-    }
-}
-
-void
-LruStackOracle::moveToTop(uint64_t *slot)
-{
-    present_[*slot] = false;
-    fenwickAdd(*slot, -1);
-    *slot = now_;
-    present_[now_] = true;
-    fenwickAdd(now_, 1);
-    ++now_;
-}
-
 uint64_t
 LruStackOracle::touch(uint64_t line)
 {
-    ensureRoom();
-    uint64_t *slot = lastTime_.find(line);
+    uint64_t *slot = index_.find(line);
     if (!slot) {
-        lastTime_.insert(line, now_);
-        present_[now_] = true;
-        fenwickAdd(now_, 1);
-        ++now_;
+        index_.push(line, nullptr);
         return 0;
     }
-    uint64_t dist = fenwickSuffix(*slot) + 1;
-    moveToTop(slot);
+    const uint64_t dist = index_.newerThan(slot) + 1;
+    index_.remove(slot);
+    index_.push(line, slot);
     return dist;
 }
 
 void
 LruStackOracle::promote(uint64_t line)
 {
-    ensureRoom();
-    uint64_t *slot = lastTime_.find(line);
+    uint64_t *slot = index_.find(line);
     panic_if(!slot, "promote of line ", line,
              " absent from the oracle stack");
-    moveToTop(slot);
+    index_.remove(slot);
+    index_.push(line, slot);
 }
 
 // ---- Merge ---------------------------------------------------------

@@ -200,12 +200,7 @@ class StackSegmentPass
     StackSegmentPass(const StackSegmentPass &) = delete;
     StackSegmentPass &operator=(const StackSegmentPass &) = delete;
 
-    void
-    accessRange(const Addr *a, size_t n)
-    {
-        for (size_t i = 0; i < n; ++i)
-            prof_.access(a[i]);
-    }
+    void accessRange(const Addr *a, size_t n) { prof_.accessRange(a, n); }
 
     /** Extract the pass; the object must not be fed afterwards. */
     StackShardPass finish();
@@ -218,16 +213,14 @@ class StackSegmentPass
 /**
  * Exact global LRU stack over line addresses, driven by the
  * reconciliation pass: touch() computes a global stack distance and
- * promotes; promote() only reorders. Same Fenwick-over-timestamps
- * machinery as StackDistProfiler, minus the histogram and the
- * top-of-stack fast path (reconciliation touches each distinct line
- * once per segment, so there is no hot small working set to exploit).
+ * promotes; promote() only reorders. It is the profiler's
+ * RecencyIndex alone, without the top-of-stack array or the histogram
+ * (reconciliation touches each distinct line once per segment, so
+ * there is no hot small working set to exploit).
  */
 class LruStackOracle
 {
   public:
-    LruStackOracle() = default;
-
     /**
      * Record a touch of @p line: returns its stack distance (>= 1), or
      * 0 when the line was never seen (globally cold; inserted at the
@@ -238,19 +231,10 @@ class LruStackOracle
     /** Move @p line to the top of the stack; it must be present. */
     void promote(uint64_t line);
 
-    uint64_t lines() const { return lastTime_.size(); }
+    uint64_t lines() const { return index_.size(); }
 
   private:
-    void ensureRoom();
-    void compact();
-    void fenwickAdd(size_t pos, int delta);
-    uint64_t fenwickSuffix(size_t pos) const;
-    void moveToTop(uint64_t *slot);
-
-    LineMap lastTime_;           ///< line -> last touch timestamp
-    std::vector<uint64_t> tree_; ///< Fenwick over timestamps
-    std::vector<bool> present_;  ///< timestamp still live
-    uint64_t now_ = 0;
+    RecencyIndex index_;
 };
 
 /**

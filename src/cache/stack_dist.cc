@@ -1,172 +1,136 @@
 #include "cache/stack_dist.hh"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "common/bits.hh"
 
 namespace texcache {
+
+// ---- Recency index -------------------------------------------------
+
+void
+RecencyIndex::push(uint64_t line, uint64_t *slot)
+{
+    // A renumber rewrites map values but never moves a slot, so @p
+    // slot survives it.
+    if (now_ == lineAt_.size())
+        renumber();
+    if (slot)
+        *slot = now_;
+    else
+        time_.insert(line, now_);
+    lineAt_[now_] = line;
+    for (uint64_t i = now_ + 1; i <= tree_.size(); i += i & (~i + 1))
+        ++tree_[i - 1];
+    ++now_;
+    ++held_;
+}
+
+void
+RecencyIndex::renumber()
+{
+    // Slide the held lines down to [0, held_), in order. Each lands at
+    // or below its old timestamp, so one forward scan moves them in
+    // place.
+    uint64_t t = 0;
+    for (uint64_t old = 0; old < now_; ++old) {
+        const uint64_t line = lineAt_[old];
+        if (line == kGone)
+            continue;
+        *time_.find(line) = t;
+        lineAt_[t++] = line;
+    }
+    now_ = held_;
+    ++renumbers_;
+
+    const uint64_t cap = std::bit_ceil(std::max(4 * held_, kMinCapacity));
+    lineAt_.resize(cap);
+    std::fill(lineAt_.begin() + held_, lineAt_.end(), kGone);
+    // The held timestamps are the prefix [0, held_), so node i
+    // (1-based), which counts the timestamps in [i - lowbit(i), i),
+    // holds that range's overlap with the prefix.
+    tree_.resize(cap);
+    for (uint64_t i = 1; i <= cap; ++i) {
+        const uint64_t lo = i - (i & (~i + 1));
+        const uint64_t hi = std::min(i, held_);
+        tree_[i - 1] = static_cast<uint32_t>(hi > lo ? hi - lo : 0);
+    }
+}
+
+// ---- Profiler ------------------------------------------------------
 
 StackDistProfiler::StackDistProfiler(unsigned line_bytes)
 {
     fatal_if(!isPowerOfTwo(line_bytes), "line size ", line_bytes,
              " not a power of two");
     lineShift_ = log2Exact(line_bytes);
-    hist_.resize(kTopK + 1, 0); // fast-path distances need no resize
+    hist_.resize(kTopK + 1, 0); // top-of-stack distances need no resize
+    top_.fill(kNoLine);
 }
 
 void
-StackDistProfiler::fenwickAdd(size_t pos, int delta)
+StackDistProfiler::accessRange(const Addr *a, size_t n)
 {
-    // 1-based Fenwick update.
-    for (size_t i = pos + 1; i <= tree_.size(); i += i & (~i + 1))
-        tree_[i - 1] += static_cast<uint64_t>(static_cast<int64_t>(delta));
-}
-
-uint64_t
-StackDistProfiler::fenwickSuffix(size_t pos) const
-{
-    // Count of live timestamps at positions > pos:
-    // total - prefix(pos + 1).
-    uint64_t prefix = 0;
-    for (size_t i = pos + 1; i > 0; i -= i & (~i + 1))
-        prefix += tree_[i - 1];
-    // Every live line has exactly one set timestamp, so the total live
-    // count is the map size (the caller queries before inserting).
-    uint64_t total = lastTime_.size();
-    return total - prefix;
-}
-
-void
-StackDistProfiler::compact()
-{
-    // The map entries of top-array lines are allowed to be stale; make
-    // them truthful before renumbering, and refresh the array after.
-    for (size_t i = 0; i < topSize_; ++i)
-        *lastTime_.find(top_[i].line) = top_[i].time;
-
-    // Renumber live timestamps densely, preserving order.
-    std::vector<std::pair<uint64_t, uint64_t>> live; // (old time, line)
-    live.reserve(lastTime_.size());
-    lastTime_.forEach(
-        [&](uint64_t line, uint64_t t) { live.emplace_back(t, line); });
-    std::sort(live.begin(), live.end());
-
-    present_.assign(live.size() * 2 + 64, false);
-    tree_.assign(present_.size(), 0);
-    now_ = 0;
-    for (const auto &[t, line] : live) {
-        *lastTime_.find(line) = now_;
-        present_[now_] = true;
-        fenwickAdd(now_, 1);
-        ++now_;
+    // The top of the stack stays in locals for the whole batch. The
+    // accessed line goes to the front, and the line it displaces is
+    // carried down, each position taking the line above it, until the
+    // carry is the accessed line itself (a hit at that depth) or falls
+    // off the end (the accessed line is below the top).
+    uint64_t t0 = top_[0], t1 = top_[1], t2 = top_[2], t3 = top_[3];
+    uint64_t t4 = top_[4], t5 = top_[5], t6 = top_[6], t7 = top_[7];
+    const unsigned shift = lineShift_;
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t line = a[i] >> shift;
+        uint64_t c = std::exchange(t0, line);
+        size_t d = 1;
+        auto carry = [&](uint64_t &t) {
+            ++d;
+            std::swap(c, t);
+            return c == line;
+        };
+        if (c == line || carry(t1) || carry(t2) || carry(t3) ||
+            carry(t4) || carry(t5) || carry(t6) || carry(t7))
+            ++hist_[d];
+        else
+            belowTop(line, c);
     }
-
-    for (size_t i = 0; i < topSize_; ++i)
-        top_[i].time = *lastTime_.find(top_[i].line);
+    top_ = {t0, t1, t2, t3, t4, t5, t6, t7};
+    accesses_ += n;
 }
 
 void
-StackDistProfiler::access(Addr addr)
+StackDistProfiler::belowTop(uint64_t line, uint64_t demoted)
 {
-    uint64_t line = addr >> lineShift_;
-    ++accesses_;
-
-    // Fast path: a hit in the top-of-stack array is a pure rotation.
-    // Position i owns the (i+1)-th newest timestamp, so moving the line
-    // to the front while the timestamps stay put realises the LRU
-    // reordering without touching the Fenwick tree or the map.
-    for (size_t j = 0; j < topSize_; ++j) {
-        if (top_[j].line == line) {
-            ++hist_[j + 1];
-            for (size_t i = j; i > 0; --i)
-                top_[i].line = top_[i - 1].line;
-            top_[0].line = line;
-            return;
-        }
-    }
-
-    if (now_ >= tree_.size()) {
-        if (lastTime_.size() * 2 + 64 < tree_.size()) {
-            compact();
-        } else {
-            size_t new_size = tree_.size() ? tree_.size() * 2 : 1024;
-            // Rebuild the Fenwick tree at the larger size.
-            std::vector<bool> old_present = present_;
-            present_.assign(new_size, false);
-            tree_.assign(new_size, 0);
-            for (size_t i = 0; i < old_present.size(); ++i) {
-                if (old_present[i]) {
-                    present_[i] = true;
-                    fenwickAdd(i, 1);
-                }
-            }
-        }
-    }
-
-    uint64_t *slot = lastTime_.find(line);
-    if (!slot) {
-        ++cold_;
-        if (firstTouchLog_)
-            firstTouchLog_->push_back(line);
-        lastTime_.insert(line, now_);
-    } else {
-        uint64_t prev = *slot;
-        // Distance = live timestamps after prev, plus this line itself.
-        // The top-array lines own exactly the newest live timestamps,
-        // so the suffix count includes them without consulting the
-        // array's internal order.
-        uint64_t dist = fenwickSuffix(prev) + 1;
+    // Every indexed line is older than the kTopK lines of the full top,
+    // so a line found in the index has distance (indexed lines newer
+    // than it) + kTopK + 1. A line the top and the index both lack was
+    // never seen.
+    if (uint64_t *slot = index_.find(line)) {
+        const uint64_t dist = index_.newerThan(slot) + kTopK + 1;
+        index_.remove(slot);
         if (hist_.size() <= dist)
             hist_.resize(dist + 1, 0);
         ++hist_[dist];
-        present_[prev] = false;
-        fenwickAdd(prev, -1);
-        *slot = now_;
+    } else {
+        ++cold_;
+        if (firstTouchLog_)
+            firstTouchLog_->push_back(line);
     }
-    present_[now_] = true;
-    fenwickAdd(now_, 1);
-
-    // Push the line onto the top-of-stack array; the demoted line gets
-    // its true (smallest-of-the-array) timestamp written back.
-    if (topSize_ == kTopK)
-        *lastTime_.find(top_[kTopK - 1].line) = top_[kTopK - 1].time;
-    else
-        ++topSize_;
-    for (size_t i = topSize_ - 1; i > 0; --i)
-        top_[i] = top_[i - 1];
-    top_[0] = {line, now_};
-    ++now_;
+    if (demoted != kNoLine)
+        index_.push(demoted);
 }
 
 std::vector<uint64_t>
 StackDistProfiler::stackOrder() const
 {
-    // Top-array lines own the newest timestamps, but their map entries
-    // may be stale (fast-path rotations never write the map back), so
-    // they are excluded from the timestamp sort and appended by array
-    // position: top_[topSize_-1] is the (topSize_)-th newest, top_[0]
-    // the MRU.
-    auto inTop = [&](uint64_t line) {
-        for (size_t i = 0; i < topSize_; ++i)
-            if (top_[i].line == line)
-                return true;
-        return false;
-    };
-
-    std::vector<std::pair<uint64_t, uint64_t>> rest; // (time, line)
-    rest.reserve(lastTime_.size());
-    lastTime_.forEach([&](uint64_t line, uint64_t t) {
-        if (!inTop(line))
-            rest.emplace_back(t, line);
-    });
-    std::sort(rest.begin(), rest.end());
-
     std::vector<uint64_t> order;
-    order.reserve(rest.size() + topSize_);
-    for (const auto &[t, line] : rest)
-        order.push_back(line);
-    for (size_t i = topSize_; i > 0; --i)
-        order.push_back(top_[i - 1].line);
+    order.reserve(index_.size() + kTopK);
+    index_.forEachOldestFirst([&](uint64_t line) { order.push_back(line); });
+    for (size_t i = kTopK; i-- > 0;)
+        if (top_[i] != kNoLine)
+            order.push_back(top_[i]);
     return order;
 }
 

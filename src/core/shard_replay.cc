@@ -62,6 +62,7 @@ stackPass(const TraceSource &src, const SceneLayout &layout,
           unsigned line_bytes, unsigned shards)
 {
     static const uint16_t kSpan = tracing::nameId("sim.fa");
+    static const uint16_t kMergeSpan = tracing::nameId("shard.merge");
     tracing::ScopedSpan span(kSpan, line_bytes);
     perf::addSimulatedAccesses(src.records());
     unsigned segs = segmentCount(src, shards);
@@ -80,6 +81,7 @@ stackPass(const TraceSource &src, const SceneLayout &layout,
     passes.reserve(results.size());
     for (auto &r : results)
         passes.push_back(std::move(r.value));
+    tracing::ScopedSpan merge(kMergeSpan, segs);
     return mergeStackShards(passes, line_bytes);
 }
 

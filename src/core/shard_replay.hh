@@ -24,7 +24,8 @@
  *    first, so uneven sims still load them evenly;
  *  - fully associative configurations get one stack pass per line
  *    size ("sim.fa" span): the chunk range is cut into contiguous
- *    segments profiled independently and reconciled exactly.
+ *    segments profiled independently and reconciled exactly, in one
+ *    serial merge ("shard.merge" span, detail: the segment count).
  *
  * When the shard count leaves pool threads idle, a call's passes run
  * side by side as tasks of one fork-join; when it fills the pool they

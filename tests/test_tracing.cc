@@ -56,6 +56,40 @@ eventsOfKind(const std::vector<Event> &all, EventKind k)
     return out;
 }
 
+/**
+ * Every sim.fa span in @p all holds exactly one shard.merge span,
+ * nested directly in it, whose detail is @p segments, and no
+ * shard.merge span runs outside a sim.fa. Spans nest within a thread,
+ * and a snapshot lists each thread's events in order. Counts the
+ * sim.fa spans into @p passes.
+ */
+void
+expectMergesNested(const std::vector<Event> &all, uint64_t segments,
+                   size_t &passes)
+{
+    const uint16_t fa = nameId("sim.fa"), merge = nameId("shard.merge");
+    std::vector<std::pair<uint32_t, unsigned>> open; // name, merges
+    for (const Event &ev : all) {
+        if (ev.kind == uint8_t(EventKind::SpanBegin)) {
+            if (ev.a == merge) {
+                ASSERT_FALSE(open.empty());
+                ASSERT_EQ(open.back().first, fa);
+                ++open.back().second;
+                EXPECT_EQ(ev.addr, segments);
+            }
+            open.push_back({ev.a, 0});
+        } else if (ev.kind == uint8_t(EventKind::SpanEnd)) {
+            ASSERT_FALSE(open.empty());
+            if (open.back().first == fa) {
+                EXPECT_EQ(open.back().second, 1u);
+                ++passes;
+            }
+            open.pop_back();
+        }
+    }
+    EXPECT_TRUE(open.empty());
+}
+
 } // namespace
 
 TEST(Tracing, DisabledByDefaultAndNoOp)
@@ -367,8 +401,8 @@ TEST(Tracing, NestedSweepsRecordOnOneRingPerPoolThread)
 TEST(Tracing, SweepPassesEmitSimStageSpans)
 {
     // One set pass for every set-associative config, one stack pass
-    // per fully associative line size, and a layout.map span per
-    // window of the set pass.
+    // per fully associative line size with one shard.merge span each,
+    // and a layout.map span per window of the set pass.
     TracerGuard guard(kSpans);
     TraceStore store;
     SceneSpec quad = SceneSpec::quadScene(64, 128);
@@ -396,10 +430,16 @@ TEST(Tracing, SweepPassesEmitSimStageSpans)
     EXPECT_EQ(eventsOfKind(evs, EventKind::SpanEnd).size(),
               eventsOfKind(evs, EventKind::SpanBegin).size());
 
+    // Every stack pass of this call has one segment.
+    size_t passes = 0;
+    expectMergesNested(evs, 1, passes);
+    EXPECT_EQ(passes, 2u);
+
     // The set pass maps and scatters each window under a layout.map
     // span nested in its sim.sa, whose items are the window's records:
     // a stream of two windows or more gets one per window, an empty
-    // stream none.
+    // stream none. The stack pass beside it merges its segments, one
+    // per chunk up to the shard count, in one shard.merge span.
     ThreadEnv env("4");
     uint16_t map = nameId("layout.map");
     const unsigned shards = 2;
@@ -409,7 +449,15 @@ TEST(Tracing, SweepPassesEmitSimStageSpans)
     for (const TexelTrace *t : {&trace, &empty}) {
         MemoryTraceSource src(*t, frames);
         configure({kSpans, 1, 1 << 20});
-        runCacheSweepSharded(src, layout, {{4 << 10, 32, 1}}, shards);
+        runCacheSweepSharded(src, layout,
+                             {{4 << 10, 32, 1},
+                              {4 << 10, 32, CacheConfig::kFullyAssoc}},
+                             shards);
+        size_t passes = 0;
+        expectMergesNested(snapshotEvents(),
+                           std::clamp<uint64_t>(src.chunkCount(), 1, shards),
+                           passes);
+        EXPECT_EQ(passes, 1u);
         size_t maps = 0, outside = 0;
         uint64_t items = 0;
         int depth = 0;
