@@ -29,43 +29,6 @@
 namespace texcache {
 namespace benchutil {
 
-/** The square-ish block dimensions whose storage equals a line size. */
-inline LayoutParams
-blockedForLine(unsigned line_bytes, LayoutKind kind = LayoutKind::Blocked)
-{
-    LayoutParams p;
-    p.kind = kind;
-    switch (line_bytes) {
-      case 16:
-        p.blockW = 2;
-        p.blockH = 2;
-        break;
-      case 32:
-        p.blockW = 4;
-        p.blockH = 2;
-        break;
-      case 64:
-        p.blockW = 4;
-        p.blockH = 4;
-        break;
-      case 128:
-        p.blockW = 8;
-        p.blockH = 4;
-        break;
-      case 256:
-        p.blockW = 8;
-        p.blockH = 8;
-        break;
-      case 512:
-        p.blockW = 16;
-        p.blockH = 8;
-        break;
-      default:
-        fatal("no block shape for line size ", line_bytes);
-    }
-    return p;
-}
-
 /** The paper's per-scene scan direction, optionally tiled. */
 inline RasterOrder
 sceneOrder(BenchScene s, bool tiled = false, unsigned tile = 8)

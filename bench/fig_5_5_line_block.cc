@@ -50,12 +50,8 @@ main()
     std::vector<std::string> header = {"Scene"};
     for (unsigned l : lines)
         header.push_back(fmtBytes(l) + " (" +
-                         std::to_string(benchutil::blockedForLine(l)
-                                            .blockW) +
-                         "x" +
-                         std::to_string(benchutil::blockedForLine(l)
-                                            .blockH) +
-                         ")");
+                         std::to_string(blockedForLine(l).blockW) + "x" +
+                         std::to_string(blockedForLine(l).blockH) + ")");
     table.header(header);
 
     size_t i = 0;

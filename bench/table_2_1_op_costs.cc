@@ -13,9 +13,7 @@
  */
 
 #include "bench/bench_util.hh"
-#include "layout/blocked.hh"
-#include "layout/nonblocked.hh"
-#include "layout/williams.hh"
+#include "layout/layout.hh"
 
 using namespace texcache;
 using namespace texcache::benchutil;
@@ -46,15 +44,14 @@ main()
     for (unsigned w = 64; w >= 1; w /= 2)
         dims.push_back({w, w});
     AddressSpace space;
-    NonblockedLayout nb(dims, space);
-    WilliamsLayout wl(dims, space);
-    BlockedLayout bl(dims, space, 4, 4);
-    PaddedBlockedLayout pl(dims, space, 4, 4, 4);
-    Blocked6DLayout sl(dims, space, 4, 4, 32 * 1024);
-    const TextureLayout *lays[] = {&wl, &nb, &bl, &pl, &sl};
-    for (const TextureLayout *l : lays) {
-        AddressingCost c = l->cost();
-        addr.row({l->name(), std::to_string(c.adds),
+    for (LayoutKind kind :
+         {LayoutKind::Williams, LayoutKind::Nonblocked, LayoutKind::Blocked,
+          LayoutKind::PaddedBlocked, LayoutKind::Blocked6D}) {
+        LayoutParams p; // 4x4 blocks, 4 pad blocks, 32 KB super-blocks
+        p.kind = kind;
+        TextureLayout l(p, dims, space);
+        AddressingCost c = l.cost();
+        addr.row({l.name(), std::to_string(c.adds),
                   std::to_string(c.shifts),
                   std::to_string(c.constShifts),
                   std::to_string(c.ands),

@@ -1,6 +1,7 @@
 # trace_tool round trip: capture Goblet (horizontal) to a .ctrace,
 # then check the `stats` and `replay` lines against the figures of the
-# same frame, and that `stats` rejects a truncated copy.
+# same frame, that `stats` rejects a truncated copy, and that `replay`
+# rejects the trace under another scene.
 #
 # Usage: cmake -DTRACE_TOOL=<trace_tool> -DWORK_DIR=<dir>
 #              -P trace_tool_roundtrip.cmake
@@ -44,6 +45,16 @@ execute_process(COMMAND "${TRACE_TOOL}" stats "${cut}"
 if(rc EQUAL 0 OR NOT err MATCHES "offset 4096: truncated payload")
     message(FATAL_ERROR
             "stats on a truncated trace exited ${rc}:\n${out}${err}")
+endif()
+
+# Under Town the trace's texels lie past the levels of Town's smaller
+# texture 0: the replay names the first such record and exits 1.
+execute_process(COMMAND "${TRACE_TOOL}" replay town "${trace}" 32768 64 2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES
+   "trace record outside the scene: texture 0, level [0-9]+, texel \\([0-9]+, [0-9]+\\); ")
+    message(FATAL_ERROR
+            "replay town of a Goblet trace exited ${rc}:\n${out}${err}")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")

@@ -46,24 +46,6 @@ usage()
     std::exit(1);
 }
 
-/** The paper's square-ish block shape whose storage fills one line. */
-LayoutParams
-blockedLayoutForLine(unsigned line_bytes)
-{
-    LayoutParams p;
-    p.kind = LayoutKind::Blocked;
-    switch (line_bytes) {
-      case 16:  p.blockW = 2;  p.blockH = 2; break;
-      case 32:  p.blockW = 4;  p.blockH = 2; break;
-      case 64:  p.blockW = 4;  p.blockH = 4; break;
-      case 128: p.blockW = 8;  p.blockH = 4; break;
-      case 256: p.blockW = 8;  p.blockH = 8; break;
-      default:
-        fatal("no block shape for line size ", line_bytes);
-    }
-    return p;
-}
-
 } // namespace
 
 int
@@ -95,7 +77,7 @@ main(int argc, char **argv)
         order.dir = paperScanDirection(bs);
     }
 
-    SceneLayout layout(scene, blockedLayoutForLine(line_bytes));
+    SceneLayout layout(scene, blockedForLine(line_bytes));
     CacheConfig cfg{cache_kb * 1024, line_bytes, 2};
     MissClassifier classifier(cfg);
 

@@ -1,5 +1,9 @@
 #include "common/logging.hh"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdlib>
 #include <iostream>
 
 namespace texcache {
@@ -16,6 +20,19 @@ panicImpl(const char *file, int line, const std::string &msg)
 [[noreturn]] void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
+    // One report and one exit(): two exit() calls must not run at
+    // once, so a thread failing while another already exits (pool
+    // workers mapping the same bad trace) waits for the process to
+    // end, and a fatal() from exit()'s own handlers ends it at once.
+    static std::atomic<bool> exiting{false};
+    thread_local bool exitingHere = false;
+    if (exiting.exchange(true)) {
+        if (exitingHere)
+            std::_Exit(1);
+        for (;;)
+            pause();
+    }
+    exitingHere = true;
     std::cerr << "fatal: " << msg << "\n  @ " << file << ":" << line
               << std::endl;
     std::exit(1);

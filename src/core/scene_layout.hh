@@ -13,7 +13,6 @@
 #define TEXCACHE_CORE_SCENE_LAYOUT_HH
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "layout/layout.hh"
@@ -28,13 +27,17 @@ class SceneLayout
   public:
     SceneLayout(const Scene &scene, const LayoutParams &params);
 
+    // maps_ points into layouts_' level tables: a copy would share them.
+    SceneLayout(const SceneLayout &) = delete;
+    SceneLayout &operator=(const SceneLayout &) = delete;
+
     /** The layout serving texture @p tex. */
     const TextureLayout &
     layout(unsigned tex) const
     {
         panic_if(tex >= layouts_.size(), "texture ", tex, " of ",
                  layouts_.size());
-        return *layouts_[tex];
+        return layouts_[tex];
     }
 
     unsigned numTextures() const
@@ -83,20 +86,27 @@ class SceneLayout
      * Translate @p n packed records into @p out (replacing its
      * contents, reusing its storage): the one record-to-address loop
      * behind mapRange() and forEachAddress(), and the streamed-replay
-     * path's map of a TraceSource chunk.
+     * path's map of a TraceSource chunk. A record whose texture, level
+     * or texel lies outside the scene - a trace of another scene, or a
+     * damaged file - is fatal().
      */
     void
     mapPacked(const uint64_t *recs, size_t n,
               std::vector<Addr> &out) const
     {
-        out.clear();
-        Addr a[3];
-        for (size_t i = 0; i < n; ++i) {
-            TexelRecord r = TexelRecord::unpack(recs[i]);
-            const TextureLayout &lay = *layouts_[r.texture];
-            unsigned cnt = lay.addresses({r.level, r.u, r.v}, a);
-            for (unsigned k = 0; k < cnt; ++k)
-                out.push_back(a[k]);
+        switch (params_.kind) {
+          case LayoutKind::Williams:
+            return mapWith<LayoutKind::Williams>(recs, n, out);
+          case LayoutKind::Nonblocked:
+            return mapWith<LayoutKind::Nonblocked>(recs, n, out);
+          case LayoutKind::Blocked:
+            return mapWith<LayoutKind::Blocked>(recs, n, out);
+          case LayoutKind::PaddedBlocked:
+            return mapWith<LayoutKind::PaddedBlocked>(recs, n, out);
+          case LayoutKind::Blocked6D:
+            return mapWith<LayoutKind::Blocked6D>(recs, n, out);
+          case LayoutKind::CompressedBlocked:
+            return mapWith<LayoutKind::CompressedBlocked>(recs, n, out);
         }
     }
 
@@ -104,9 +114,49 @@ class SceneLayout
     static constexpr size_t kMapChunk = 1 << 16;
 
   private:
+    /** One texture's entry in the flat table mapPacked() reads. */
+    struct TextureMaps
+    {
+        const LevelMap *levels;
+        unsigned numLevels;
+    };
+
+    /** mapPacked() with @p Kind's field and address counts fixed. */
+    template <LayoutKind Kind>
+    void
+    mapWith(const uint64_t *recs, size_t n, std::vector<Addr> &out) const
+    {
+        constexpr unsigned kAddrs = layoutAddresses(Kind);
+        out.resize(n * kAddrs);
+        Addr *o = out.data();
+        const TextureMaps *maps = maps_.data();
+        const size_t textures = maps_.size();
+        for (size_t i = 0; i < n; ++i) {
+            TexelRecord r = TexelRecord::unpack(recs[i]);
+            // The record's low 32 bits are the texel word u | v << 16.
+            uint32_t uv = static_cast<uint32_t>(recs[i]);
+            if (r.texture >= textures ||
+                r.level >= maps[r.texture].numLevels) [[unlikely]]
+                rejectRecord(recs[i]);
+            const LevelMap &m = maps[r.texture].levels[r.level];
+            if (uv & m.outside) [[unlikely]]
+                rejectRecord(recs[i]);
+            Addr off = m.offset(uv, layoutFields(Kind));
+            for (unsigned k = 0; k < kAddrs; ++k)
+                o[k] = m.base[k] + off;
+            o += kAddrs;
+        }
+    }
+
+    /** fatal(): @p rec names a texture, level or texel not in the
+     *  scene. */
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    rejectRecord(uint64_t rec) const;
+
     LayoutParams params_;
     AddressSpace space_;
-    std::vector<std::unique_ptr<TextureLayout>> layouts_;
+    std::vector<TextureLayout> layouts_;
+    std::vector<TextureMaps> maps_;
     uint64_t footprint_ = 0;
 };
 

@@ -5,12 +5,21 @@
 #include <map>
 #include <set>
 
-#include "layout/blocked.hh"
-#include "layout/compressed.hh"
+#include "layout/layout.hh"
 
 using namespace texcache;
 
 namespace {
+
+LayoutParams
+compressed(unsigned block, unsigned ratio)
+{
+    LayoutParams p;
+    p.kind = LayoutKind::CompressedBlocked;
+    p.blockW = p.blockH = block;
+    p.compressionRatio = ratio;
+    return p;
+}
 
 std::vector<LevelDims>
 pyramid(unsigned w, unsigned h)
@@ -31,8 +40,10 @@ pyramid(unsigned w, unsigned h)
 TEST(Compressed, FootprintShrinksByRatio)
 {
     AddressSpace s1, s2;
-    BlockedLayout plain(pyramid(256, 256), s1, 8, 8);
-    CompressedBlockedLayout comp(pyramid(256, 256), s2, 8, 8, 8);
+    TextureLayout plain(
+        {.kind = LayoutKind::Blocked, .blockW = 8, .blockH = 8},
+        pyramid(256, 256), s1);
+    TextureLayout comp(compressed(8, 8), pyramid(256, 256), s2);
     // Per-level allocation alignment (4 KB) adds slack on top of the
     // 8:1 payload reduction; require at least ~4x overall.
     EXPECT_LT(comp.footprint(), plain.footprint() / 4);
@@ -41,9 +52,9 @@ TEST(Compressed, FootprintShrinksByRatio)
 TEST(Compressed, RejectsBadRatio)
 {
     AddressSpace s;
-    EXPECT_EXIT(CompressedBlockedLayout(pyramid(64, 64), s, 8, 8, 3),
+    EXPECT_EXIT(TextureLayout(compressed(8, 3), pyramid(64, 64), s),
                 ::testing::ExitedWithCode(1), "power of two");
-    EXPECT_EXIT(CompressedBlockedLayout(pyramid(64, 64), s, 8, 8, 1),
+    EXPECT_EXIT(TextureLayout(compressed(8, 1), pyramid(64, 64), s),
                 ::testing::ExitedWithCode(1), "power of two");
 }
 
@@ -52,7 +63,7 @@ TEST(Compressed, RatioTexelsShareBytes)
     // 8:1 over 8x8 blocks: the 64 texels of a block map onto 32 bytes,
     // i.e. exactly 8 texels per 4-byte granule.
     AddressSpace s;
-    CompressedBlockedLayout lay(pyramid(64, 64), s, 8, 8, 8);
+    TextureLayout lay(compressed(8, 8), pyramid(64, 64), s);
     std::map<Addr, unsigned> per_addr;
     for (unsigned v = 0; v < 8; ++v)
         for (unsigned u = 0; u < 8; ++u) {
@@ -72,7 +83,7 @@ TEST(Compressed, RatioTexelsShareBytes)
 TEST(Compressed, BlocksRemainDisjoint)
 {
     AddressSpace s;
-    CompressedBlockedLayout lay(pyramid(64, 64), s, 8, 8, 4);
+    TextureLayout lay(compressed(8, 4), pyramid(64, 64), s);
     // Distinct blocks never share addresses.
     std::set<Addr> block_a, block_b;
     for (unsigned v = 0; v < 8; ++v)
@@ -96,7 +107,7 @@ TEST(Compressed, TinyLevelsClampTheRatio)
     // A 1x1 level (4 bytes raw) cannot compress below 1 byte; the
     // layout must still produce a valid in-footprint address.
     AddressSpace s;
-    CompressedBlockedLayout lay(pyramid(64, 64), s, 8, 8, 16);
+    TextureLayout lay(compressed(8, 16), pyramid(64, 64), s);
     Addr a[3];
     unsigned levels = lay.numLevels();
     lay.addresses({static_cast<uint16_t>(levels - 1), 0, 0}, a);
@@ -106,18 +117,13 @@ TEST(Compressed, TinyLevelsClampTheRatio)
 TEST(Compressed, NameEncodesParameters)
 {
     AddressSpace s;
-    CompressedBlockedLayout lay(pyramid(16, 16), s, 4, 4, 8);
+    TextureLayout lay(compressed(4, 8), pyramid(16, 16), s);
     EXPECT_EQ(lay.name(), "compressed-4x4@8:1");
 }
 
-TEST(Compressed, FactoryBuildsIt)
+TEST(Compressed, CostsOneAccessPerTexel)
 {
     AddressSpace s;
-    LayoutParams p;
-    p.kind = LayoutKind::CompressedBlocked;
-    p.blockW = p.blockH = 8;
-    p.compressionRatio = 4;
-    auto lay = makeLayout(p, pyramid(32, 32), s);
-    ASSERT_NE(lay, nullptr);
-    EXPECT_EQ(lay->cost().accessesPerTexel, 1u);
+    TextureLayout lay(compressed(8, 4), pyramid(32, 32), s);
+    EXPECT_EQ(lay.cost().accessesPerTexel, 1u);
 }

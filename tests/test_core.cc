@@ -119,6 +119,60 @@ TEST(SceneLayout, FootprintCoversAllTextures)
     EXPECT_GE(lay.totalFootprint(), texel_bytes);
 }
 
+TEST(SceneLayout, MapPackedMatchesTextureLayout)
+{
+    // mapPacked's per-kind loop and TextureLayout::addresses() read the
+    // same level maps; every kind must agree record by record.
+    const TexelTrace &trace = fix().out.trace;
+    for (LayoutKind k :
+         {LayoutKind::Williams, LayoutKind::Nonblocked,
+          LayoutKind::Blocked, LayoutKind::PaddedBlocked,
+          LayoutKind::Blocked6D, LayoutKind::CompressedBlocked}) {
+        LayoutParams p;
+        p.kind = k;
+        SceneLayout lay(fix().scene, p);
+        std::vector<Addr> mapped;
+        lay.mapRange(trace, 0, trace.size(), mapped);
+        std::vector<Addr> direct;
+        for (uint64_t rec : trace.packed()) {
+            TexelRecord r = TexelRecord::unpack(rec);
+            Addr a[3];
+            unsigned n =
+                lay.layout(r.texture).addresses({r.level, r.u, r.v}, a);
+            direct.insert(direct.end(), a, a + n);
+        }
+        EXPECT_EQ(mapped, direct) << layoutKindName(k);
+    }
+}
+
+TEST(SceneLayout, RejectsRecordsOutsideTheScene)
+{
+    // The fixture scene holds one 128x128 texture: levels 0..7.
+    LayoutParams p;
+    p.kind = LayoutKind::PaddedBlocked;
+    SceneLayout lay(fix().scene, p);
+    auto map = [&](uint16_t tex, uint16_t level, uint16_t u, uint16_t v) {
+        // The bad record follows a good one inside the span.
+        uint64_t recs[2] = {
+            TexelRecord{0, 0, 0, 0, TouchKind::Bilinear}.pack(),
+            TexelRecord{tex, level, u, v, TouchKind::Bilinear}.pack()};
+        std::vector<Addr> out;
+        lay.mapPacked(recs, 2, out);
+    };
+    map(0, 7, 0, 0); // the coarsest texel is in range
+    EXPECT_EXIT(map(1, 0, 0, 0), ::testing::ExitedWithCode(1),
+                "outside the scene: texture 1, level 0, texel \\(0, 0\\); "
+                "scene textures: 1");
+    EXPECT_EXIT(map(0, 8, 0, 0), ::testing::ExitedWithCode(1),
+                "texture 0, level 8, texel \\(0, 0\\); texture levels: 8");
+    EXPECT_EXIT(map(0, 0, 128, 5), ::testing::ExitedWithCode(1),
+                "texel \\(128, 5\\); level size: 128x128");
+    EXPECT_EXIT(map(0, 0, 5, 128), ::testing::ExitedWithCode(1),
+                "texel \\(5, 128\\); level size: 128x128");
+    EXPECT_EXIT(map(0, 7, 1, 0), ::testing::ExitedWithCode(1),
+                "level 7, texel \\(1, 0\\); level size: 1x1");
+}
+
 TEST(Experiment, ProfilerMatchesExplicitFaCache)
 {
     LayoutParams p;
